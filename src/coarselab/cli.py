@@ -2,16 +2,18 @@
 
 One experiment per config file.  Exit status is 0 when every verdict
 passes or certifies, 1 when any verdict is refuted (so CI can gate on
-the measured inequalities), and 2 on configuration errors.  Every run
-writes a manifest, also on failure, that echoes the config and pins the
-seed, so re-running a manifest's config reproduces the CSV outputs
-byte for byte.
+the measured inequalities), 2 on configuration errors, and 3 when an
+internal check of a certifier fails (a map declared isometric is not,
+or a certificate does not re-check).  Every run writes a manifest, also
+on failure, that echoes the config and pins the seed, so re-running a
+manifest's config reproduces the CSV outputs byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -32,16 +34,6 @@ from .spaces import (
     Space,
     space_from_config,
 )
-
-EXPERIMENTS = (
-    "verify-coarse",
-    "orbit",
-    "fixed-point",
-    "odometer-density",
-    "cone-diagnostic",
-    "higson-defect",
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -329,11 +321,9 @@ def _run_cone_diagnostic(cfg: ExperimentConfig, out: Path):
 
 _FUNCTIONS = {
     "sin-log": lambda space: (
-        lambda p: __import__("math").sin(
-            __import__("math").log1p(space.distance(space.basepoint, p))
-        )
+        lambda p: math.sin(math.log1p(space.distance(space.basepoint, p)))
     ),
-    "sin-coordinate": lambda space: (lambda p: __import__("math").sin(p[0])),
+    "sin-coordinate": lambda space: (lambda p: math.sin(p[0])),
     "constant": lambda space: (lambda p: 1.0),
 }
 
@@ -359,61 +349,59 @@ def _run_higson_defect(cfg: ExperimentConfig, out: Path):
     return ({"defect_at_largest_ball": final}, ["defect.csv"], False)
 
 
-_RUNNERS = {
-    "verify-coarse": _run_verify_coarse,
-    "orbit": _run_orbit,
-    "fixed-point": _run_fixed_point,
-    "odometer-density": _run_odometer_density,
-    "cone-diagnostic": _run_cone_diagnostic,
-    "higson-defect": _run_higson_defect,
+# experiment kind -> (body, config keys it cannot run without); validate
+# and run both read this table, and diagnostics list the kinds in its order
+_EXPERIMENTS = {
+    "verify-coarse": (_run_verify_coarse, ("space", "action")),
+    "orbit": (_run_orbit, ("space", "action", "horizon")),
+    "fixed-point": (_run_fixed_point, ("space", "action", "horizon")),
+    "odometer-density": (_run_odometer_density, ("precision", "epsilons")),
+    "cone-diagnostic": (_run_cone_diagnostic, ("entourage_radius", "heights")),
+    "higson-defect": (_run_higson_defect, ("space", "function", "entourage_radius", "balls")),
 }
+
+# a certifier's own re-check failed: the config was valid, the result is not
+_INTERNAL_CHECKS = (actions.IsometryViolation, AssertionError)
 
 
 def validate(cfg: ExperimentConfig) -> list[str]:
     """Static diagnostics only; runs no computation."""
-    diags: list[str] = []
     exp = cfg.experiment
     if not exp:
         return ["missing required field 'experiment'"]
-    if exp not in EXPERIMENTS:
-        return [f"unknown experiment {exp!r}; choose from {list(EXPERIMENTS)}"]
-
-    def need(*keys):
-        for key in keys:
-            if key not in cfg.raw:
-                diags.append(f"{exp} experiment is missing required field {key!r}")
-
-    if exp in ("verify-coarse", "orbit", "fixed-point"):
-        need("space", "action")
-    if exp in ("orbit", "fixed-point"):
-        need("horizon")
+    if exp not in _EXPERIMENTS:
+        return [f"unknown experiment {exp!r}; choose from {list(_EXPERIMENTS)}"]
+    required = _EXPERIMENTS[exp][1]
     if exp == "fixed-point" and cfg.get("mode", "finite") == "isometry":
-        need("ball_radius")
-    if exp == "odometer-density":
-        need("precision", "epsilons")
-        if "precision" in cfg.raw and "epsilons" in cfg.raw:
-            try:
-                precision = int(cfg.number("precision"))
-                for eps in cfg.numbers("epsilons"):
-                    if odometer._precision_for(eps) >= precision:
-                        diags.append(
-                            f"insufficient precision: epsilon {eps} needs more than "
-                            f"{precision} bits"
-                        )
-            except (ConfigError, ValueError) as exc:
-                diags.append(str(exc))
-    if exp == "cone-diagnostic":
-        need("entourage_radius", "heights")
-        if "base_cycle" not in cfg.raw and "base_edges" not in cfg.raw:
-            diags.append("cone-diagnostic needs 'base_cycle' or 'base_edges'")
-    if exp == "higson-defect":
-        need("space", "function", "entourage_radius", "balls")
+        required += ("ball_radius",)
+    diags = [
+        f"{exp} experiment is missing required field {key!r}"
+        for key in required
+        if key not in cfg.raw
+    ]
+    if exp == "odometer-density" and "precision" in cfg.raw and "epsilons" in cfg.raw:
+        try:
+            precision = int(cfg.number("precision"))
+            for eps in cfg.numbers("epsilons"):
+                if odometer._precision_for(eps) >= precision:
+                    diags.append(
+                        f"insufficient precision: epsilon {eps} needs more than "
+                        f"{precision} bits"
+                    )
+        except (ConfigError, ValueError) as exc:
+            diags.append(str(exc))
+    if exp == "cone-diagnostic" and not ("base_cycle" in cfg.raw or "base_edges" in cfg.raw):
+        diags.append("cone-diagnostic needs 'base_cycle' or 'base_edges'")
     return diags
 
 
 def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
         cap: int | None = None) -> RunManifest:
-    """Execute one experiment; the manifest is written even on failure."""
+    """Execute one experiment; the manifest is written even on failure.
+
+    Raises ``ConfigError`` when the config cannot run; a certifier's
+    failed internal check is re-raised once the manifest records it.
+    """
     raw = dict(cfg.raw)
     if seed is not None:
         raw["seed"] = str(seed)
@@ -430,13 +418,17 @@ def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
     verdicts: dict = {}
     files: list[str] = []
     refuted = False
+    failure = None
     if problems:
         error = "; ".join(problems)
     else:
         try:
-            verdicts, files, refuted = _RUNNERS[cfg.experiment](cfg, out)
+            verdicts, files, refuted = _EXPERIMENTS[cfg.experiment][0](cfg, out)
         except (ConfigError, CapExceeded, ValueError) as exc:
             error = f"{type(exc).__name__}: {exc}"
+        except _INTERNAL_CHECKS as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            failure = exc
     manifest = RunManifest(
         config=dict(cfg.raw),
         source=cfg.source,
@@ -450,13 +442,23 @@ def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
         out / "manifest.json",
         json.dumps(manifest.to_json_dict(), indent=2, sort_keys=True) + "\n",
     )
+    if failure is not None:
+        raise failure
     if error is not None:
         raise ConfigError(error)
     return manifest
 
 
-def _exit_code(manifest: RunManifest) -> int:
-    return 1 if manifest.verdicts.get("refuted") else 0
+def _run_status(path, out, seed, cap) -> tuple[int, RunManifest | str]:
+    """Run one config file; return its exit status with the manifest, or
+    with the error line when the run raised."""
+    try:
+        manifest = run(load_config(path), out, seed, cap)
+    except (ConfigError, CapExceeded) as exc:
+        return 2, f"error: {exc}"
+    except _INTERNAL_CHECKS as exc:
+        return 3, f"internal check failed: {type(exc).__name__}: {exc}"
+    return (1 if manifest.verdicts.get("refuted") else 0), manifest
 
 
 def main(argv=None) -> int:
@@ -486,14 +488,13 @@ def main(argv=None) -> int:
         return 2 if diags else 0
 
     if args.command == "run":
-        try:
-            manifest = run(load_config(args.path), args.out, args.seed, args.cap)
-        except (ConfigError, CapExceeded) as exc:
-            print(f"error: {exc}")
-            return 2
-        for key, value in sorted(manifest.verdicts.items()):
-            print(f"{key}: {value}")
-        return _exit_code(manifest)
+        code, result = _run_status(args.path, args.out, args.seed, args.cap)
+        if isinstance(result, str):
+            print(result)
+        else:
+            for key, value in sorted(result.verdicts.items()):
+                print(f"{key}: {value}")
+        return code
 
     # batch: every *.cfg in the directory, worst exit status wins
     paths = sorted(Path(args.path).glob("*.cfg"))
@@ -502,18 +503,9 @@ def main(argv=None) -> int:
         return 2
     worst = 0
     for path in paths:
-        try:
-            manifest = run(
-                load_config(path),
-                None if args.out is None else Path(args.out) / path.stem,
-                args.seed,
-                args.cap,
-            )
-            code = _exit_code(manifest)
-            print(f"{path.name}: exit {code}")
-        except (ConfigError, CapExceeded) as exc:
-            print(f"{path.name}: error: {exc}")
-            code = 2
+        out = None if args.out is None else Path(args.out) / path.stem
+        code, result = _run_status(path, out, args.seed, args.cap)
+        print(f"{path.name}: {result}" if isinstance(result, str) else f"{path.name}: exit {code}")
         worst = max(worst, code)
     return worst
 

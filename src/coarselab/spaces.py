@@ -17,6 +17,10 @@ Four models are provided:
 * ``ConeSpace`` -- lives in :mod:`coarselab.cone`; distance there is the
   grid upper-bound approximation.
 
+The lattice, free-group and tree models give ``neighbors(v)``, which
+drives all of their ball enumeration and breadth-first word lengths.
+The free group and the tree share one packed prefix-distance kernel.
+
 All lattice / word / tree distances are exact integers; no floating
 point enters these models.  Ball enumeration is capped (default 10^6
 points) and exceeding the cap raises ``CapExceeded`` rather than
@@ -29,6 +33,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -37,6 +42,8 @@ DEFAULT_CAP = 1_000_000
 
 LETTERS = "aAbB"
 _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
+# packed code of a word: one octal digit (3 bits) per letter, first letter lowest
+_OCTAL = str.maketrans(LETTERS, "1234")
 
 
 class ModelMismatch(ValueError):
@@ -125,8 +132,10 @@ class Space:
     """Common surface of the space handles.
 
     Subclasses provide ``model``, ``integer_metric``, ``basepoint``,
-    ``validate``, ``distance``, ``closed_ball`` and vectorized
-    ``pairwise`` / ``paired`` distance evaluation.
+    ``validate``, ``distance`` and vectorized ``pairwise`` / ``paired``
+    distance evaluation.  Graph models provide ``neighbors``, from which
+    ``closed_ball`` and ``_word_length`` are derived; other models
+    override ``closed_ball``.
     """
 
     model: str = "abstract"
@@ -144,8 +153,51 @@ class Space:
     def distance(self, p, q):
         raise NotImplementedError
 
-    def closed_ball(self, center, r) -> list:
+    def neighbors(self, v) -> list:
+        """The points one generator step from ``v``."""
         raise NotImplementedError
+
+    def closed_ball(self, center, r) -> list:
+        """Points within distance ``r`` of ``center``, breadth-first over
+        ``neighbors``; sorted by length, then in natural order."""
+        center = self.validate(center)
+        seen = {center: 0}
+        sphere = [center]
+        for _ in range(_as_int_radius(r)):
+            sphere = self._next_sphere(sphere, seen)
+        return sorted(self._restrict(seen), key=lambda p: (len(p), p))
+
+    def _restrict(self, points):
+        """The model's points among those enumerated over ``neighbors``."""
+        return points
+
+    def _next_sphere(self, sphere: list, seen: dict, what: str = "ball enumeration") -> list:
+        """The unseen neighbors of ``sphere``, entered into ``seen`` one step
+        farther out than the point that reached them."""
+        out = []
+        for v in sphere:
+            d = seen[v] + 1
+            for w in self.neighbors(v):
+                if w not in seen:
+                    self._check_cap(len(seen) + 1, what)
+                    seen[w] = d
+                    out.append(w)
+        return out
+
+    @cached_property
+    def _word_length_search(self) -> tuple[dict, list]:
+        # word lengths found so far, and the outermost sphere among them
+        return {self.basepoint: 0}, [self.basepoint]
+
+    def _word_length(self, g) -> int:
+        """Word length of ``g``: breadth-first from the basepoint, grown on
+        demand and memoized."""
+        memo, sphere = self._word_length_search
+        while g not in memo:
+            sphere[:] = self._next_sphere(sphere, memo, "word-length search")
+            if not sphere:
+                raise ModelMismatch(f"{g!r} is not generated by {self.moves!r}")
+        return memo[g]
 
     def format_point(self, p) -> str:
         raise NotImplementedError
@@ -242,59 +294,31 @@ class LatticeSpace(Space):
             return sum(abs(c) for c in delta)
         return self._word_length(delta)
 
-    @cached_property
-    def _word_length_memo(self) -> dict:
-        return {(0,) * self.rank: 0}
+    def neighbors(self, v: tuple[int, ...]) -> list[tuple[int, ...]]:
+        return [tuple(map(add, v, m)) for m in self.moves]
 
-    def _word_length(self, delta: tuple[int, ...]) -> int:
-        # breadth-first word length over the symmetrized generating set,
-        # grown on demand and memoized
-        memo = self._word_length_memo
-        if delta in memo:
-            return memo[delta]
-        frontier = [v for v, d in memo.items() if d == max(memo.values())]
-        depth = max(memo.values())
-        while delta not in memo:
-            self._check_cap(len(memo), "word-length search")
-            nxt = []
-            for v in frontier:
-                for m in self.moves:
-                    w = tuple(a + b for a, b in zip(v, m))
-                    if w not in memo:
-                        memo[w] = depth + 1
-                        nxt.append(w)
-            if not nxt:
-                raise ModelMismatch(f"{delta!r} is not generated by {self.moves!r}")
-            frontier = nxt
-            depth += 1
-        return memo[delta]
+    def _restrict(self, points):
+        # N^k balls are enumerated in the ambient Z^k
+        if self.signed:
+            return points
+        return [p for p in points if all(c >= 0 for c in p)]
 
-    def closed_ball(self, center, r) -> list:
-        center = self.validate(center)
-        radius = _as_int_radius(r)
-        # enumerate in the ambient Z^k, then restrict to the orthant for N^k
-        seen = {center: 0}
-        queue = deque([center])
-        while queue:
-            v = queue.popleft()
-            if seen[v] == radius:
-                continue
-            for m in self.moves:
-                w = tuple(a + b for a, b in zip(v, m))
-                if w not in seen:
-                    self._check_cap(len(seen) + 1)
-                    seen[w] = seen[v] + 1
-                    queue.append(w)
-        pts = seen.keys()
-        if not self.signed:
-            pts = (p for p in pts if all(c >= 0 for c in p))
-        return sorted(pts)
+    def _coords(self, ps) -> np.ndarray:
+        """Points as an int64 array while every l1 distance among them fits
+        in int64, else as an array of exact Python integers."""
+        limit = np.iinfo(np.int64).max // (2 * self.rank)
+        try:
+            a = np.asarray(ps, dtype=np.int64).reshape(len(ps), self.rank)
+            if a.size == 0 or (a.max() <= limit and a.min() >= -limit):
+                return a
+        except OverflowError:
+            pass
+        return np.array(ps, dtype=object).reshape(len(ps), self.rank)
 
     def pairwise(self, ps, qs) -> np.ndarray:
         if not self.standard:
             return super().pairwise(ps, qs)
-        a = np.asarray(ps, dtype=np.int64).reshape(len(ps), self.rank)
-        b = np.asarray(qs, dtype=np.int64).reshape(len(qs), self.rank)
+        a, b = self._coords(ps), self._coords(qs)
         return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=-1)
 
     def paired(self, ps, qs) -> np.ndarray:
@@ -302,16 +326,75 @@ class LatticeSpace(Space):
             return super().paired(ps, qs)
         if len(ps) != len(qs):
             raise ValueError("paired distance needs equal-length sequences")
-        a = np.asarray(ps, dtype=np.int64).reshape(len(ps), self.rank)
-        b = np.asarray(qs, dtype=np.int64).reshape(len(qs), self.rank)
-        return np.abs(a - b).sum(axis=-1)
+        return np.abs(self._coords(ps) - self._coords(qs)).sum(axis=-1)
 
     def format_point(self, p) -> str:
         return "(" + ",".join(str(c) for c in p) + ")"
 
 
+def _prefix_lcp(x: np.ndarray, la, lb, bits: int) -> np.ndarray:
+    """Longest common prefix of packed symbol strings, from the XOR ``x``
+    of their codes and their lengths.
+
+    Symbol j occupies bits [bits*j, bits*(j+1)) of a code, so the first
+    disagreement is at symbol (trailing zeros of x) // bits, capped by the
+    shorter length.  Codes stay below 2^62: bit 62 set makes x == 0 read
+    as no disagreement, and the lowest set bit converts to float exactly.
+    """
+    y = x | (1 << 62)
+    tz = np.log2(y & -y).astype(np.int64)
+    return np.minimum(np.minimum(la, lb), tz // bits)
+
+
+def _prefix_distance_matrix(ca, la, cb, lb, bits: int) -> np.ndarray:
+    """|p| + |q| - 2 lcp(p, q) for every pair of packed strings."""
+    out = np.empty((len(ca), len(cb)), dtype=np.int64)
+    chunk = max(1, 8_000_000 // max(len(cb), 1))  # bound the intermediates
+    for i0 in range(0, len(ca), chunk):
+        rows = slice(i0, i0 + chunk)
+        a, l = ca[rows, None], la[rows, None]
+        out[rows] = l + lb - 2 * _prefix_lcp(a ^ cb, l, lb, bits)
+    return out
+
+
+class _PrefixSpace(Space):
+    """A model whose standard metric is d(p, q) = |p| + |q| - 2 lcp(p, q).
+
+    A point of at most ``_PACK_LIMIT`` symbols packs into one int64 code,
+    ``_code(p)``, ``_BITS`` bits per symbol, and ``pairwise`` / ``paired``
+    run on the prefix kernel.  Longer points and custom generating sets
+    take the scalar ``distance``.
+    """
+
+    _BITS: int
+    _PACK_LIMIT: int
+    standard = True
+
+    def _packable(self, ps, qs) -> bool:
+        return self.standard and all(
+            len(p) <= self._PACK_LIMIT for p in itertools.chain(ps, qs)
+        )
+
+    def _pack(self, ps) -> tuple[np.ndarray, np.ndarray]:
+        codes = np.array([self._code(p) for p in ps], dtype=np.int64)
+        return codes, np.array([len(p) for p in ps], dtype=np.int64)
+
+    def pairwise(self, ps, qs) -> np.ndarray:
+        if not self._packable(ps, qs):
+            return super().pairwise(ps, qs)
+        return _prefix_distance_matrix(*self._pack(ps), *self._pack(qs), self._BITS)
+
+    def paired(self, ps, qs) -> np.ndarray:
+        if len(ps) != len(qs):
+            raise ValueError("paired distance needs equal-length sequences")
+        if not self._packable(ps, qs):
+            return super().paired(ps, qs)
+        (ca, la), (cb, lb) = self._pack(ps), self._pack(qs)
+        return la + lb - 2 * _prefix_lcp(ca ^ cb, la, lb, self._BITS)
+
+
 @dataclass(frozen=True)
-class FreeGroupSpace(Space):
+class FreeGroupSpace(_PrefixSpace):
     """The rank-2 free group on {a, b} as reduced strings.
 
     With the standard generating set the word metric is computed from the
@@ -325,6 +408,8 @@ class FreeGroupSpace(Space):
 
     model = "free-group"
     integer_metric = True
+    _BITS = 3  # 20 letters fill 60 bits
+    _PACK_LIMIT = 20
 
     def __post_init__(self):
         for g in self.generators:
@@ -361,102 +446,11 @@ class FreeGroupSpace(Space):
             return len(p) + len(q) - 2 * lcp
         return self._word_length(word_multiply(word_inverse(p), q))
 
-    @cached_property
-    def _word_length_memo(self) -> dict:
-        return {"": 0}
+    def neighbors(self, v: str) -> list[str]:
+        return [word_multiply(v, m) for m in self.moves]
 
-    def _word_length(self, w: str) -> int:
-        memo = self._word_length_memo
-        if w in memo:
-            return memo[w]
-        depth = max(memo.values())
-        frontier = [v for v, d in memo.items() if d == depth]
-        while w not in memo:
-            self._check_cap(len(memo), "word-length search")
-            nxt = []
-            for v in frontier:
-                for m in self.moves:
-                    u = word_multiply(v, m)
-                    if u not in memo:
-                        memo[u] = depth + 1
-                        nxt.append(u)
-            if not nxt:
-                raise ModelMismatch(f"{w!r} is not generated by {self.moves!r}")
-            frontier = nxt
-            depth += 1
-        return memo[w]
-
-    def closed_ball(self, center, r) -> list:
-        center = self.validate(center)
-        radius = _as_int_radius(r)
-        seen = {center: 0}
-        queue = deque([center])
-        while queue:
-            v = queue.popleft()
-            if seen[v] == radius:
-                continue
-            for m in self.moves:
-                w = word_multiply(v, m)
-                if w not in seen:
-                    self._check_cap(len(seen) + 1)
-                    seen[w] = seen[v] + 1
-                    queue.append(w)
-        return sorted(seen, key=lambda w: (len(w), w))
-
-    # words of <= 20 letters pack into one int64, 3 bits per letter
-    # (letters coded 1..4, 0 is the pad): the longest common prefix is the
-    # trailing-zero count of the XOR, divided by 3
-    _PACK_LIMIT = 20
-
-    def _pack(self, ws: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        code = {c: i + 1 for i, c in enumerate(LETTERS)}
-        packed = np.empty(len(ws), dtype=np.int64)
-        lens = np.empty(len(ws), dtype=np.int64)
-        for i, w in enumerate(ws):
-            acc = 0
-            for j, ch in enumerate(w):
-                acc |= code[ch] << (3 * j)
-            packed[i] = acc
-            lens[i] = len(w)
-        return packed, lens
-
-    @staticmethod
-    def _lcp_from_xor(x: np.ndarray, la, lb) -> np.ndarray:
-        lowbit = x & -x
-        with np.errstate(divide="ignore"):
-            first_diff = np.where(
-                x == 0, 63, np.log2(np.maximum(lowbit, 1)).astype(np.int64) // 3
-            )
-        return np.minimum(np.minimum(la, lb), first_diff)
-
-    def pairwise(self, ps, qs) -> np.ndarray:
-        if not self.standard or any(
-            len(w) > self._PACK_LIMIT for w in itertools.chain(ps, qs)
-        ):
-            return super().pairwise(ps, qs)
-        wa, la = self._pack(ps)
-        wb, lb = self._pack(qs)
-        out = np.empty((len(ps), len(qs)), dtype=np.int64)
-        chunk = max(1, 8_000_000 // max(len(qs), 1))  # bound the intermediates
-        for i0 in range(0, len(ps), chunk):
-            i1 = min(i0 + chunk, len(ps))
-            lcp = self._lcp_from_xor(
-                wa[i0:i1, None] ^ wb[None, :], la[i0:i1, None], lb[None, :]
-            )
-            out[i0:i1] = la[i0:i1, None] + lb[None, :] - 2 * lcp
-        return out
-
-    def paired(self, ps, qs) -> np.ndarray:
-        if len(ps) != len(qs):
-            raise ValueError("paired distance needs equal-length sequences")
-        if not self.standard or any(
-            len(w) > self._PACK_LIMIT for w in itertools.chain(ps, qs)
-        ):
-            return super().paired(ps, qs)
-        wa, la = self._pack(ps)
-        wb, lb = self._pack(qs)
-        lcp = self._lcp_from_xor(wa ^ wb, la, lb)
-        return la + lb - 2 * lcp
+    def _code(self, w: str) -> int:
+        return int("0" + w[::-1].translate(_OCTAL), 8)
 
     def format_point(self, p) -> str:
         return p if p else "e"
@@ -468,7 +462,7 @@ def tree_vertex_value(v: tuple[int, ...]) -> int:
 
 
 @dataclass(frozen=True)
-class BinaryTreeSpace(Space):
+class BinaryTreeSpace(_PrefixSpace):
     """Rooted binary tree; vertices are bit tuples, LSB first, () is the root.
 
     A vertex of depth n+1 is joined to the depth-n vertex obtained by
@@ -480,6 +474,9 @@ class BinaryTreeSpace(Space):
 
     model = "binary-tree"
     integer_metric = True
+    _BITS = 1  # depth 62 keeps the codes below 2^62
+    _PACK_LIMIT = 62
+    _code = staticmethod(tree_vertex_value)
 
     @property
     def basepoint(self) -> tuple[int, ...]:
@@ -506,48 +503,6 @@ class BinaryTreeSpace(Space):
         if v:
             out.append(v[:-1])
         return out
-
-    def closed_ball(self, center, r) -> list:
-        center = self.validate(center)
-        radius = _as_int_radius(r)
-        seen = {center: 0}
-        queue = deque([center])
-        while queue:
-            v = queue.popleft()
-            if seen[v] == radius:
-                continue
-            for w in self.neighbors(v):
-                if w not in seen:
-                    self._check_cap(len(seen) + 1)
-                    seen[w] = seen[v] + 1
-                    queue.append(w)
-        return sorted(seen, key=lambda w: (len(w), w))
-
-    def pairwise(self, ps, qs) -> np.ndarray:
-        if any(len(p) > 62 for p in itertools.chain(ps, qs)):
-            return super().pairwise(ps, qs)
-        va = np.array([tree_vertex_value(p) for p in ps], dtype=np.int64)
-        vb = np.array([tree_vertex_value(q) for q in qs], dtype=np.int64)
-        la = np.array([len(p) for p in ps], dtype=np.int64)
-        lb = np.array([len(q) for q in qs], dtype=np.int64)
-        out = np.empty((len(ps), len(qs)), dtype=np.int64)
-        chunk = max(1, 8_000_000 // max(len(qs), 1))  # bound the intermediates
-        for i0 in range(0, len(ps), chunk):
-            i1 = min(i0 + chunk, len(ps))
-            x = va[i0:i1, None] ^ vb[None, :]
-            lowbit = x & -x
-            with np.errstate(divide="ignore"):
-                tz = np.where(
-                    x == 0, 63, np.log2(np.maximum(lowbit, 1)).astype(np.int64)
-                )
-            lcp = np.minimum(np.minimum(la[i0:i1, None], lb[None, :]), tz)
-            out[i0:i1] = la[i0:i1, None] + lb[None, :] - 2 * lcp
-        return out
-
-    def paired(self, ps, qs) -> np.ndarray:
-        if len(ps) != len(qs):
-            raise ValueError("paired distance needs equal-length sequences")
-        return np.array([self.distance(p, q) for p, q in zip(ps, qs)], dtype=np.int64)
 
     def format_point(self, p) -> str:
         return "".join(str(b) for b in p) if p else "*"

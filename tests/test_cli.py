@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from coarselab import actions
 from coarselab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -203,6 +204,54 @@ def test_main_batch(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "one.cfg: exit 0" in out and "two.cfg: exit 1" in out
     assert main(["batch", str(tmp_path / "empty-missing")]) == 2
+
+
+def _rotate_path_cfg(tmp_path, directory):
+    # rotating the nodes of a path graph (not a cycle) is no isometry
+    edges = tmp_path / "path.edges"
+    edges.write_text("0 1 1\n1 2 1\n2 3 1\n")
+    cfg = directory / "rotate_path.cfg"
+    cfg.write_text(
+        f"experiment = fixed-point\nspace = cone\nbase_edges = {edges}\n"
+        "height_max = 4\naction = rotate\nstart = 0@1\nhorizon = 20\n"
+        "mode = isometry\nball_radius = 4\n"
+    )
+    return cfg
+
+
+def test_main_internal_check_failure_exit_code(tmp_path, capsys):
+    cfg = _rotate_path_cfg(tmp_path, tmp_path)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "internal check failed: IsometryViolation" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert doc["error"].startswith("IsometryViolation: d changed")
+    assert doc["outputs"] == []
+
+
+def test_main_batch_continues_after_internal_check_failure(tmp_path, capsys, monkeypatch):
+    def failing_recheck(*args, **kwargs):
+        raise AssertionError("certificate does not re-check")
+
+    monkeypatch.setattr(actions, "verify_coarse_action", failing_recheck)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    _rotate_path_cfg(tmp_path, batch)
+    (batch / "verify.cfg").write_text(
+        "experiment = verify-coarse\nspace = Z^1\naction = self-translation\n"
+    )
+    (batch / "walk.cfg").write_text(
+        "experiment = orbit\nspace = Z^1\naction = translate\nby = 1\nhorizon = 4\n"
+    )
+    code = main(["batch", str(batch), "--out", str(tmp_path / "out")])
+    assert code == 3
+    out = capsys.readouterr().out
+    assert "rotate_path.cfg: internal check failed: IsometryViolation" in out
+    assert "verify.cfg: internal check failed: AssertionError" in out
+    assert "walk.cfg: exit 0" in out
+    for stem in ("rotate_path", "verify", "walk"):
+        assert (tmp_path / "out" / stem / "manifest.json").exists()
+    doc = json.loads((tmp_path / "out" / "verify" / "manifest.json").read_text())
+    assert doc["error"] == "AssertionError: certificate does not re-check"
 
 
 def test_edge_list_cone_space():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -218,6 +219,49 @@ def test_pairwise_and_paired_match_scalar(space):
         assert vec[i] == space.distance(pts[i], qts[i])
         for j in range(0, 40, 7):
             assert mat[i, j] == space.distance(pts[i], qts[j])
+
+
+# lengths around the packing limits (20 letters, depth 62): points that
+# share long prefixes, so the kernel must locate late disagreements
+F2_NEAR_LIMIT = [""] + [
+    w
+    for stem in (("ab" * 11)[: n - 1] for n in (19, 20, 21))
+    for w in [stem] + [stem + c for c in "aAbB" if is_reduced(stem + c)]
+]
+T2_NEAR_LIMIT = [()] + [
+    v
+    for stem in (tuple(k % 2 for k in range(n - 1)) for n in (61, 62, 63))
+    for v in (stem, stem + (0,), stem + (1,))
+]
+
+
+@pytest.mark.parametrize(
+    "space,pts,limit", [(F2, F2_NEAR_LIMIT, 20), (T2, T2_NEAR_LIMIT, 62)], ids=["F2", "T2"]
+)
+def test_prefix_kernel_matches_distance_at_packing_limit(space, pts, limit):
+    within = [p for p in pts if len(p) <= limit]
+    # the packed kernel serves `within` (int64); `pts` falls back to distance
+    assert space.pairwise(within, within).dtype == np.int64
+    assert space.paired(within, within).dtype == np.int64
+    for sample in (within, pts):
+        mat = space.pairwise(sample, sample)
+        vec = space.paired(sample, sample[::-1])
+        for i, p in enumerate(sample):
+            assert vec[i] == space.distance(p, sample[-1 - i])
+            for j, q in enumerate(sample):
+                assert mat[i, j] == space.distance(p, q)
+
+
+@pytest.mark.parametrize("space", [Z1, Z2], ids=["Z1", "Z2"])
+def test_lattice_kernels_exact_beyond_int64(space):
+    coords = (0, 1, 2**62, -(2**62), 2**63, -(2**63) - 1)
+    pts = list(itertools.product(coords, repeat=space.rank))
+    mat = space.pairwise(pts, pts)
+    vec = space.paired(pts, pts[::-1])
+    for i, p in enumerate(pts):
+        assert vec[i] == space.distance(p, pts[-1 - i])
+        for j, q in enumerate(pts):
+            assert mat[i, j] == space.distance(p, q)
 
 
 # ---------------------------------------------------------------------------
