@@ -11,8 +11,6 @@ group.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import random
 from dataclasses import dataclass, field
@@ -152,12 +150,7 @@ class OrbitRecord:
         }
 
     def escape_profile_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("r", "last_time_within_r"))
-        for r, t in self.escape_profile:
-            writer.writerow((r, t))
-        return buf.getvalue()
+        return coarse.rows_to_csv(self.escape_profile, header=("r", "last_time_within_r"))
 
 
 def _escape_profile(disp_per_time: Sequence[float]) -> tuple[tuple[int, int], ...]:
@@ -178,18 +171,36 @@ def _escape_profile(disp_per_time: Sequence[float]) -> tuple[tuple[int, int], ..
     return tuple(profile)
 
 
-def _displacements(space: Space, base, pts: Sequence) -> np.ndarray:
-    return np.asarray(space.pairwise([base], list(pts)), dtype=float).ravel()
+def _orbit_record(x0, horizon: int, points: Sequence, first_times: Sequence[int],
+                  disp: np.ndarray, disp_per_time: Sequence[float]) -> OrbitRecord:
+    """``disp`` holds the displacement of each of ``points`` from ``x0``."""
+    return OrbitRecord(
+        base_point=x0,
+        horizon=horizon,
+        points=tuple(points),
+        first_times=tuple(first_times),
+        max_displacement=float(disp.max()),
+        escape_profile=_escape_profile(disp_per_time),
+    )
 
 
-def _iterate_sequence(action: ActionSpec, space: Space, x0, horizon: int) -> list:
+def _iterate_sequence(action: ActionSpec, space: Space, x0, horizon: int):
+    """The iterates x0, f x0, ..., f^horizon x0 of an N-action, their
+    distinct points in first-visit order, the first time of each, and
+    for each time the index of its point among the distinct ones."""
     fn = action.step
     seq = [x0]
     p = x0
     for _ in range(horizon):
         p = fn(p)
         seq.append(space.validate(p))
-    return seq
+    index: dict = {}
+    first_times: list[int] = []
+    for n, p in enumerate(seq):
+        if p not in index:
+            index[p] = len(first_times)
+            first_times.append(n)
+    return seq, list(index), first_times, np.array([index[p] for p in seq])
 
 
 def _sample_commutativity(action: ActionSpec, space: Space, pts: Sequence):
@@ -216,51 +227,30 @@ def orbit(action: ActionSpec, space: Space, x0, horizon: int) -> OrbitRecord:
         raise ValueError("horizon must be >= 0")
     x0 = space.validate(x0)
     if action.semigroup == "N":
-        seq = _iterate_sequence(action, space, x0, horizon)
-        first: dict = {}
-        for n, p in enumerate(seq):
-            first.setdefault(p, n)
-        points = sorted(first, key=first.get)
+        _, points, first_times, ids = _iterate_sequence(action, space, x0, horizon)
         space._check_cap(len(points), "orbit enumeration")
-        uniq_disp = _displacements(space, x0, points)
-        index = {p: i for i, p in enumerate(points)}
-        disp_per_time = [float(uniq_disp[index[p]]) for p in seq]
-    else:
-        _sample_commutativity(action, space, [x0])
-        first = {x0: 0}
-        shell = [x0]
-        shell_min: list[float] = []
-        for m in range(1, horizon + 1):
-            nxt = []
-            for p in shell:
-                for _, fn in action.generator_maps:
-                    q = space.validate(fn(p))
-                    if q not in first:
-                        space._check_cap(len(first) + 1, "orbit enumeration")
-                        first[q] = m
-                        nxt.append(q)
-            shell = nxt
-            if not shell:
-                break
-        points = sorted(first, key=lambda p: (first[p], space.format_point(p)))
-        _sample_commutativity(action, space, points)
-        uniq_disp = _displacements(space, x0, points)
-        # per-shell minimum displacement drives the escape profile
-        times = np.array([first[p] for p in points])
-        disp_per_time = []
-        for m in range(int(times.max()) + 1 if len(times) else 1):
-            sel = uniq_disp[times == m]
-            if len(sel):
-                disp_per_time.append(float(sel.min()))
-    max_disp = float(uniq_disp.max()) if len(uniq_disp) else 0.0
-    return OrbitRecord(
-        base_point=x0,
-        horizon=horizon,
-        points=tuple(points),
-        first_times=tuple(first[p] for p in points),
-        max_displacement=max_disp,
-        escape_profile=_escape_profile(disp_per_time),
-    )
+        disp = coarse.distances_from(space, x0, points)
+        return _orbit_record(x0, horizon, points, first_times, disp, disp[ids])
+
+    _sample_commutativity(action, space, [x0])
+
+    def step(p):
+        return (space.validate(fn(p)) for _, fn in action.generator_maps)
+
+    first = {x0: 0}
+    shell = [x0]
+    for _ in range(horizon):
+        shell = space._next_sphere(shell, first, "orbit enumeration", step)
+        if not shell:
+            break
+    points = sorted(first, key=lambda p: (first[p], space.format_point(p)))
+    _sample_commutativity(action, space, points)
+    first_times = [first[p] for p in points]
+    disp = coarse.distances_from(space, x0, points)
+    # per-shell minimum displacement drives the escape profile
+    times = np.array(first_times)
+    shell_min = [float(disp[times == m].min()) for m in range(first_times[-1] + 1)]
+    return _orbit_record(x0, horizon, points, first_times, disp, shell_min)
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +268,13 @@ class ActionVerification:
                 return borno if prop == "bornologous" else proper
         raise KeyError(generator)
 
-    def to_csv_rows(self) -> list[tuple]:
-        rows = []
-        for name, borno, proper in self.per_generator:
-            for rep in (borno, proper):
-                for row in rep.to_csv_rows():
-                    rows.append((f"{name}:{row[0]}",) + row[1:])
-        return rows
-
     def to_csv(self) -> str:
-        return coarse.rows_to_csv(self.to_csv_rows())
+        return coarse.rows_to_csv(
+            (f"{name}:{row[0]}",) + row[1:]
+            for name, borno, proper in self.per_generator
+            for rep in (borno, proper)
+            for row in rep.to_csv_rows()
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -492,36 +479,23 @@ def detect_coarse_fixed_point_isometry(
     if space.distance(center, x0) > domain.radius:
         raise ValueError("x0 must lie in the bounded set D")
 
-    seq = _iterate_sequence(action, space, x0, horizon)
+    seq, uniq, first_times, ids = _iterate_sequence(action, space, x0, horizon)
     _check_isometry_on_sequence(space, seq, seed)
 
-    first: dict = {}
-    for n, p in enumerate(seq):
-        first.setdefault(p, n)
-    uniq = sorted(first, key=first.get)
-    index = {p: i for i, p in enumerate(uniq)}
-    disp_uniq = _displacements(space, x0, uniq)
-    disp = np.array([disp_uniq[index[p]] for p in seq])
+    disp_uniq = coarse.distances_from(space, x0, uniq)
+    disp = disp_uniq[ids]
     d_center_uniq = (
-        disp_uniq if center == x0 else _displacements(space, center, uniq)
+        disp_uniq if center == x0 else coarse.distances_from(space, center, uniq)
     )
-    d_center = np.array([d_center_uniq[index[p]] for p in seq])
+    d_center = d_center_uniq[ids]
 
     return_times = tuple(int(n) for n in np.nonzero(d_center <= domain.radius)[0] if n >= 1)
 
     def _not_recurrent(reason: str) -> NotRecurrentVerdict:
-        record = OrbitRecord(
-            base_point=x0,
-            horizon=horizon,
-            points=tuple(uniq),
-            first_times=tuple(first[p] for p in uniq),
-            max_displacement=float(disp.max()) if len(disp) else 0.0,
-            escape_profile=_escape_profile(disp),
-        )
         return NotRecurrentVerdict(
             status="not-recurrent-at-horizon",
             returns_observed=len(return_times),
-            orbit_record=record,
+            orbit_record=_orbit_record(x0, horizon, uniq, first_times, disp_uniq, disp),
             reason=reason,
         )
 
@@ -538,7 +512,8 @@ def detect_coarse_fixed_point_isometry(
     else:
         d_pts = space.closed_ball(center, domain.radius)
         near = np.asarray(space.pairwise(uniq, d_pts), dtype=float).min(axis=1) < 1.0
-    k_points = [p for p, ok in zip(uniq, near) if ok]  # already in first-entry order
+    near_ids = np.flatnonzero(near)  # already in first-entry order
+    k_points = [uniq[i] for i in near_ids]
 
     # greedy 1-net of K in first-entry order; x0 enters first (time 0)
     k_dist = np.asarray(space.pairwise(k_points, k_points), dtype=float)
@@ -554,12 +529,12 @@ def detect_coarse_fixed_point_isometry(
     returns_arr = np.array(return_times)
     center_first = []
     entry_times = []
-    for c in centers:
-        k_i = first[c]
+    for i in center_ids:
+        k_i = first_times[near_ids[i]]
         later = returns_arr[returns_arr > k_i]
         if len(later) == 0:
             return _not_recurrent(
-                f"center {space.format_point(c)} has no forward entry into D "
+                f"center {space.format_point(k_points[i])} has no forward entry into D "
                 "within the horizon; recurrence data incomplete"
             )
         center_first.append(k_i)
@@ -603,14 +578,8 @@ def isometry_orbit_lipschitz(
     pairs up to the horizon; a violation is reported with its witness
     pair (it signals a non-isometry) rather than raised."""
     x = space.validate(x)
-    seq = _iterate_sequence(action, space, x, horizon)
-    first: dict = {}
-    for n, p in enumerate(seq):
-        first.setdefault(p, n)
-    uniq = sorted(first, key=first.get)
-    index = {p: i for i, p in enumerate(uniq)}
+    seq, uniq, _, ids = _iterate_sequence(action, space, x, horizon)
     d_uniq = np.asarray(space.pairwise(uniq, uniq), dtype=float)
-    ids = np.array([index[p] for p in seq])
     dmat = d_uniq[np.ix_(ids, ids)]
 
     scale = float(dmat[0, 1]) if horizon >= 1 else 0.0

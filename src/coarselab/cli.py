@@ -54,7 +54,10 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def load_config(path) -> "ExperimentConfig":
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {str(path)!r}: {exc.strerror}") from exc
     return ExperimentConfig(raw=parse_config_text(text), source=str(path))
 
 
@@ -134,6 +137,10 @@ class RunManifest:
         }
 
 
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _write_text(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
@@ -159,6 +166,10 @@ def parse_point(space: Space, text: str):
         node, height = text.split("@")
         return space.validate((node, float(Fraction(height))))
     raise ConfigError(f"cannot parse a point for model {space.model!r}")
+
+
+# rotate reads node names as positions 0..n-1 around a base_cycle cone
+_ROTATE_NEEDS_CYCLE = "action 'rotate' needs a cone built from 'base_cycle'"
 
 
 def build_action(cfg: ExperimentConfig, space: Space) -> actions.ActionSpec:
@@ -189,6 +200,8 @@ def build_action(cfg: ExperimentConfig, space: Space) -> actions.ActionSpec:
     if name == "rotate":
         if not isinstance(space, cone.ConeSpace):
             raise ConfigError("rotate acts on a cone space")
+        if "base_cycle" not in cfg.raw:
+            raise ConfigError(_ROTATE_NEEDS_CYCLE)
         step = int(cfg.get("step", 1))
         n = len(space.grid.nodes)
 
@@ -205,10 +218,10 @@ def build_action(cfg: ExperimentConfig, space: Space) -> actions.ActionSpec:
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies; each returns (verdicts, output files, refuted?)
+# experiment bodies; each returns (verdicts, {output file: text}, refuted?)
 
 
-def _run_verify_coarse(cfg: ExperimentConfig, out: Path):
+def _run_verify_coarse(cfg: ExperimentConfig):
     space = space_from_config(cfg.raw)
     action = build_action(cfg, space)
     radii = [float(r) for r in cfg.numbers("radii", "1,2,4,8")]
@@ -221,38 +234,30 @@ def _run_verify_coarse(cfg: ExperimentConfig, out: Path):
         None if sample is None else float(_number(sample)),
         None if domain is None else float(_number(domain)),
     )
-    _write_text(out / "report.csv", verification.to_csv())
-    _write_text(
-        out / "report.json",
-        json.dumps(verification.to_json_dict(), indent=2, sort_keys=True) + "\n",
-    )
     return (
         {"action": verification.verdict},
-        ["report.csv", "report.json"],
+        {"report.csv": verification.to_csv(),
+         "report.json": _json(verification.to_json_dict())},
         verification.verdict == REFUTED,
     )
 
 
-def _run_orbit(cfg: ExperimentConfig, out: Path):
+def _run_orbit(cfg: ExperimentConfig):
     space = space_from_config(cfg.raw)
     action = build_action(cfg, space)
     horizon = int(cfg.number("horizon"))
     start = cfg.get("start")
     x0 = space.basepoint if start is None else parse_point(space, start)
     record = actions.orbit(action, space, x0, horizon)
-    _write_text(out / "escape_profile.csv", record.escape_profile_csv())
-    _write_text(
-        out / "orbit.json",
-        json.dumps(record.to_json_dict(space), indent=2, sort_keys=True) + "\n",
-    )
     return (
         {"orbit_size": len(record.points), "max_displacement": record.max_displacement},
-        ["escape_profile.csv", "orbit.json"],
+        {"escape_profile.csv": record.escape_profile_csv(),
+         "orbit.json": _json(record.to_json_dict(space))},
         False,
     )
 
 
-def _run_fixed_point(cfg: ExperimentConfig, out: Path):
+def _run_fixed_point(cfg: ExperimentConfig):
     space = space_from_config(cfg.raw)
     action = build_action(cfg, space)
     horizon = int(cfg.number("horizon"))
@@ -261,7 +266,6 @@ def _run_fixed_point(cfg: ExperimentConfig, out: Path):
     x0 = space.basepoint if start is None else parse_point(space, start)
     if mode == "finite":
         result = actions.detect_coarse_fixed_point_finite(action, space, x0, horizon)
-        verdict = result.status
     elif mode == "isometry":
         radius = float(cfg.number("ball_radius"))
         min_returns = int(cfg.number("min_returns", 50))
@@ -269,21 +273,17 @@ def _run_fixed_point(cfg: ExperimentConfig, out: Path):
             action, space, x0, BallSpec(x0, radius), horizon,
             min_returns=min_returns, seed=cfg.seed,
         )
-        verdict = result.status
     else:
         raise ConfigError(f"unknown fixed-point mode {mode!r}")
-    _write_text(
-        out / "verdict.json",
-        json.dumps(result.to_json_dict(space), indent=2, sort_keys=True) + "\n",
-    )
-    return ({"detector": verdict}, ["verdict.json"], False)
+    return ({"detector": result.status}, {"verdict.json": _json(result.to_json_dict(space))},
+            False)
 
 
 def _random_boundary_word(rng: random.Random, precision: int) -> BoundaryWord:
     return BoundaryWord(tuple(rng.randrange(2) for _ in range(precision)))
 
 
-def _run_odometer_density(cfg: ExperimentConfig, out: Path):
+def _run_odometer_density(cfg: ExperimentConfig):
     precision = int(cfg.number("precision"))
     epsilons = cfg.numbers("epsilons")
     n_targets = int(cfg.number("targets", 10))
@@ -295,26 +295,24 @@ def _run_odometer_density(cfg: ExperimentConfig, out: Path):
         start = _random_boundary_word(rng, precision)
     targets = [_random_boundary_word(rng, precision) for _ in range(n_targets)]
     table = odometer.density_experiment(start, targets, epsilons)
-    _write_text(out / "density.csv", table.to_csv())
     ok = table.all_verified()
     return (
         {"density": "all-verified" if ok else "refuted", "rows": len(table.rows)},
-        ["density.csv"],
+        {"density.csv": table.to_csv()},
         not ok,
     )
 
 
-def _run_cone_diagnostic(cfg: ExperimentConfig, out: Path):
+def _run_cone_diagnostic(cfg: ExperimentConfig):
     space = space_from_config({**cfg.raw, "space": "cone"})
     r_e = float(cfg.number("entourage_radius"))
     heights = [float(t) for t in cfg.numbers("heights")]
     slack = float(cfg.number("slack", Fraction(1, 10)))
     table = cone.compactification_diagnostic(space.grid, space.lam, r_e, heights, slack)
-    _write_text(out / "diagnostic.csv", table.to_csv())
     ok = table.all_passed()
     return (
         {"diagnostic": "all-passed" if ok else "refuted"},
-        ["diagnostic.csv"],
+        {"diagnostic.csv": table.to_csv()},
         not ok,
     )
 
@@ -328,7 +326,7 @@ _FUNCTIONS = {
 }
 
 
-def _run_higson_defect(cfg: ExperimentConfig, out: Path):
+def _run_higson_defect(cfg: ExperimentConfig):
     space = space_from_config(cfg.raw)
     fname = cfg.require("function")
     if fname not in _FUNCTIONS:
@@ -344,9 +342,8 @@ def _run_higson_defect(cfg: ExperimentConfig, out: Path):
         window_radius=None if window is None else float(_number(window)),
         function_id=fname,
     )
-    _write_text(out / "defect.csv", table.to_csv())
     final = table.rows[-1].value if table.rows else 0.0
-    return ({"defect_at_largest_ball": final}, ["defect.csv"], False)
+    return ({"defect_at_largest_ball": final}, {"defect.csv": table.to_csv()}, False)
 
 
 # experiment kind -> (body, config keys it cannot run without); validate
@@ -392,6 +389,9 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             diags.append(str(exc))
     if exp == "cone-diagnostic" and not ("base_cycle" in cfg.raw or "base_edges" in cfg.raw):
         diags.append("cone-diagnostic needs 'base_cycle' or 'base_edges'")
+    if ("action" in required and cfg.get("action", "").lower() == "rotate"
+            and "base_cycle" not in cfg.raw):
+        diags.append(_ROTATE_NEEDS_CYCLE)
     return diags
 
 
@@ -416,32 +416,31 @@ def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
     problems = validate(cfg)
     error = None
     verdicts: dict = {}
-    files: list[str] = []
+    texts: dict[str, str] = {}
     refuted = False
     failure = None
     if problems:
         error = "; ".join(problems)
     else:
         try:
-            verdicts, files, refuted = _EXPERIMENTS[cfg.experiment][0](cfg, out)
+            verdicts, texts, refuted = _EXPERIMENTS[cfg.experiment][0](cfg)
         except (ConfigError, CapExceeded, ValueError) as exc:
             error = f"{type(exc).__name__}: {exc}"
         except _INTERNAL_CHECKS as exc:
             error = f"{type(exc).__name__}: {exc}"
             failure = exc
+    for name, text in texts.items():
+        _write_text(out / name, text)
     manifest = RunManifest(
         config=dict(cfg.raw),
         source=cfg.source,
         version=__version__,
         wall_clock_seconds=time.monotonic() - started,
         verdicts={**verdicts, "refuted": refuted},
-        outputs=files,
+        outputs=list(texts),
         error=error,
     )
-    _write_text(
-        out / "manifest.json",
-        json.dumps(manifest.to_json_dict(), indent=2, sort_keys=True) + "\n",
-    )
+    _write_text(out / "manifest.json", _json(manifest.to_json_dict()))
     if failure is not None:
         raise failure
     if error is not None:

@@ -12,7 +12,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -110,46 +110,48 @@ class HigsonDefectTable:
     entourage_radius: float
     rows: tuple[ScaleRow, ...]
 
-    def to_csv_rows(self) -> list[tuple]:
-        return [
+    def to_csv(self) -> str:
+        return rows_to_csv(
             ("higson-defect", row.scale, row.value, row.witness_src, row.witness_dst)
             for row in self.rows
-        ]
-
-    def to_csv(self) -> str:
-        return rows_to_csv(self.to_csv_rows())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "function": self.function_id,
-            "entourage_radius": self.entourage_radius,
-            "defects": [
-                {"ball_radius": row.scale, "defect": row.value,
-                 "witness_src": row.witness_src, "witness_dst": row.witness_dst}
-                for row in self.rows
-            ],
-        }
+        )
 
 
-def rows_to_csv(rows: Sequence[tuple]) -> str:
+def rows_to_csv(rows: Iterable[tuple], header: Sequence[str] = CSV_HEADER) -> str:
+    """CSV text with a header line; floats are written with ``repr``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    writer.writerow(header)
     for row in rows:
         writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     return buf.getvalue()
+
+
+def distances_from(space: Space, p, pts: Sequence) -> np.ndarray:
+    """Float distances from ``p`` to each of ``pts``."""
+    return np.asarray(space.pairwise([p], pts), dtype=float).ravel()
+
+
+def _masked_max(mask: np.ndarray, values: np.ndarray) -> tuple[float, int] | None:
+    """The largest of ``values`` where ``mask`` holds, with its first flat
+    index; None when the mask selects nothing."""
+    if not mask.any():
+        return None
+    masked = np.where(mask, values, -math.inf)
+    k = int(np.argmax(masked))
+    return float(masked.flat[k]), k
 
 
 def default_sample_radius(space: Space) -> int:
     return 9 if isinstance(space, BinaryTreeSpace) else 8
 
 
-def _sample_points(space: Space, sample_radius) -> list:
+def _sample_radius(space: Space, sample_radius):
     if sample_radius is None:
-        sample_radius = default_sample_radius(space)
+        return default_sample_radius(space)
     if sample_radius < 0:
         raise ValueError("sample ball radius must be >= 0")
-    return space.closed_ball(space.basepoint, sample_radius)
+    return sample_radius
 
 
 def _fit_affine(radii: np.ndarray, values: np.ndarray) -> tuple[float, float]:
@@ -183,7 +185,7 @@ def bornologous_profile(
     radii = list(DEFAULT_RADII) if radii is None else sorted(radii)
     if not radii:
         raise ValueError("radii must be non-empty")
-    pts = _sample_points(source, sample_radius)
+    pts = source.closed_ball(source.basepoint, _sample_radius(source, sample_radius))
     images = [f(p) for p in pts]
     for q in images:
         target.validate(q)
@@ -196,15 +198,10 @@ def bornologous_profile(
         dsrc = np.asarray(source.pairwise(pts[i0:i1], pts), dtype=float)
         dtgt = np.asarray(target.pairwise(images[i0:i1], images), dtype=float)
         for r in radii:
-            mask = dsrc <= r
-            if not mask.any():
-                continue
-            masked = np.where(mask, dtgt, -math.inf)
-            flat = int(np.argmax(masked))
-            i, j = divmod(flat, n)
-            val = float(masked[i, j])
-            if val > best[r][0]:
-                best[r] = (val, pts[i0 + i], pts[j])
+            hit = _masked_max(dsrc <= r, dtgt)
+            if hit is not None and hit[0] > best[r][0]:
+                i, j = divmod(hit[1], n)
+                best[r] = (hit[0], pts[i0 + i], pts[j])
 
     rows = []
     for r in radii:
@@ -254,15 +251,11 @@ def properness_table(
                        math.ceil(domain_radius)})
 
     pts = source.closed_ball(source.basepoint, horizons[-1])
-    dist_src = np.asarray(
-        source.pairwise([source.basepoint], pts), dtype=float
-    ).ravel()
+    dist_src = distances_from(source, source.basepoint, pts)
     images = [f(p) for p in pts]
     for q in images:
         target.validate(q)
-    dist_img = np.asarray(
-        target.pairwise([target.basepoint], images), dtype=float
-    ).ravel()
+    dist_img = distances_from(target, target.basepoint, images)
 
     rows = []
     refuted_rows: list[tuple] = []
@@ -270,17 +263,17 @@ def properness_table(
     for r in radii:
         sel = dist_img <= r
         counts = [int(np.sum(sel & (dist_src <= h))) for h in horizons]
-        if sel.any():
-            far = int(np.argmax(np.where(sel, dist_src, -math.inf)))
+        far = _masked_max(sel, dist_src)
+        if far is not None:
             reach = [
-                float(np.max(np.where(sel & (dist_src <= h), dist_src, -math.inf)))
+                (_masked_max(sel & (dist_src <= h), dist_src) or (-math.inf,))[0]
                 for h in horizons
             ]
             reaches_every_edge = all(m >= h - 1 - 1e-9 for m, h in zip(reach, horizons))
             if reach[-1] > horizons[-1] - 1 + 1e-9:
                 bounded = False  # preimage touches the final window edge
-            witness_src = source.format_point(pts[far])
-            witness_dst = target.format_point(images[far])
+            witness_src = source.format_point(pts[far[1]])
+            witness_dst = target.format_point(images[far[1]])
         else:
             reaches_every_edge = False
             witness_src = witness_dst = ""
@@ -318,15 +311,12 @@ def closeness_bound(
     table records the trend.
     """
     target = target or source
-    if sample_radius is None:
-        sample_radius = default_sample_radius(source)
-    if sample_radius < 0:
-        raise ValueError("sample ball radius must be >= 0")
+    sample_radius = _sample_radius(source, sample_radius)
     sub = sorted({math.ceil(sample_radius / 2), math.ceil(3 * sample_radius / 4),
                   math.ceil(sample_radius)})
 
     pts = source.closed_ball(source.basepoint, sub[-1])
-    dist_src = np.asarray(source.pairwise([source.basepoint], pts), dtype=float).ravel()
+    dist_src = distances_from(source, source.basepoint, pts)
     fs = [f(p) for p in pts]
     gs = [g(p) for p in pts]
     for q in fs + gs:
@@ -335,16 +325,9 @@ def closeness_bound(
 
     rows = []
     for h in sub:
-        mask = dist_src <= h
-        vals = np.where(mask, gap, -math.inf)
-        idx = int(np.argmax(vals))
+        value, idx = _masked_max(dist_src <= h, gap)  # the basepoint is always in
         rows.append(
-            ScaleRow(
-                float(h),
-                float(vals[idx]),
-                target.format_point(fs[idx]),
-                target.format_point(gs[idx]),
-            )
+            ScaleRow(float(h), value, target.format_point(fs[idx]), target.format_point(gs[idx]))
         )
     stable = len(rows) < 2 or math.isclose(
         rows[-1].value, rows[-2].value, rel_tol=1e-12, abs_tol=1e-12
@@ -384,8 +367,7 @@ def higson_defect(
         table = word_metric_bfs_oracle(space, window_radius)
     except ValueError:
         pts = space.closed_ball(space.basepoint, window_radius)
-        dist = np.asarray(space.pairwise([space.basepoint], pts), dtype=float).ravel()
-        table = dict(zip(pts, dist))
+        table = dict(zip(pts, distances_from(space, space.basepoint, pts)))
     points = list(table)
     index = {p: i for i, p in enumerate(points)}
     base_dist = np.array([table[p] for p in points])
@@ -406,18 +388,13 @@ def higson_defect(
 
     rows = []
     for b in balls:
-        outside = ~((base_dist[src] <= b) & (base_dist[dst] <= b))
-        if outside.any():
-            masked = np.where(outside, gaps, -1.0)
-            k = int(np.argmax(masked))
-            sup = float(masked[k])
-            witness = (
-                space.format_point(points[src[k]]),
-                space.format_point(points[dst[k]]),
-            )
+        hit = _masked_max(~((base_dist[src] <= b) & (base_dist[dst] <= b)), gaps)
+        if hit is None:
+            rows.append(ScaleRow(float(b), 0.0))
         else:
-            sup, witness = 0.0, ("", "")
-        rows.append(ScaleRow(float(b), sup, witness[0], witness[1]))
+            sup, k = hit
+            rows.append(ScaleRow(float(b), sup, space.format_point(points[src[k]]),
+                                 space.format_point(points[dst[k]])))
     return HigsonDefectTable(
         function_id=function_id,
         entourage_radius=float(entourage_radius),

@@ -13,8 +13,6 @@ the discretization error stays visible.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +23,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra, shortest_path
 
+from .coarse import rows_to_csv
 from .spaces import DEFAULT_CAP, ModelMismatch, Space
 
 APEX = "*"
@@ -387,15 +386,11 @@ class DiagnosticTable:
         return all(row.passed for row in self.rows)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("t", "measured_sep", "bound", "pass"))
-        for row in self.rows:
-            writer.writerow(
-                (repr(row.height), repr(row.measured_separation), repr(row.bound),
-                 str(row.passed).lower())
-            )
-        return buf.getvalue()
+        return rows_to_csv(
+            [(row.height, row.measured_separation, row.bound, str(row.passed).lower())
+             for row in self.rows],
+            header=("t", "measured_sep", "bound", "pass"),
+        )
 
 
 def compactification_diagnostic(
@@ -469,8 +464,11 @@ def cone_space_from_config(cfg: dict, cap: int = DEFAULT_CAP) -> ConeSpace:
     elif "base_edges" in cfg:
         text = str(cfg["base_edges"])
         if "\n" not in text and text.endswith((".edges", ".txt")):
-            with open(text) as fh:
-                text = fh.read()
+            try:
+                with open(text) as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ValueError(f"cannot read base_edges {text!r}: {exc.strerror}") from exc
         nodes, edges = load_edge_list(text)
     else:
         raise ValueError("cone space needs 'base_cycle' or 'base_edges'")

@@ -11,14 +11,13 @@ on the bottom N bits, which is what justifies truncation).
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
+from .coarse import rows_to_csv
 from .spaces import tree_vertex_value
 
 
@@ -219,17 +218,11 @@ class DensityTable:
         return all(row.verified for row in self.rows)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ("target", "epsilon", "witness_n_decimal", "achieved_distance_log2")
+        return rows_to_csv(
+            [(row.target.format(), str(row.epsilon), row.witness, row.achieved_log2)
+             for row in self.rows],
+            header=("target", "epsilon", "witness_n_decimal", "achieved_distance_log2"),
         )
-        for row in self.rows:
-            writer.writerow(
-                (row.target.format(), str(row.epsilon), str(row.witness),
-                 row.achieved_log2)
-            )
-        return buf.getvalue()
 
 
 def _precision_for(epsilon: Fraction) -> int:

@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -171,13 +171,16 @@ class Space:
         """The model's points among those enumerated over ``neighbors``."""
         return points
 
-    def _next_sphere(self, sphere: list, seen: dict, what: str = "ball enumeration") -> list:
+    def _next_sphere(self, sphere: list, seen: dict, what: str = "ball enumeration",
+                     step: Callable | None = None) -> list:
         """The unseen neighbors of ``sphere``, entered into ``seen`` one step
-        farther out than the point that reached them."""
+        farther out than the point that reached them; ``step(v)`` gives the
+        points one step from ``v`` (``neighbors`` by default)."""
+        step = step or self.neighbors
         out = []
         for v in sphere:
             d = seen[v] + 1
-            for w in self.neighbors(v):
+            for w in step(v):
                 if w not in seen:
                     self._check_cap(len(seen) + 1, what)
                     seen[w] = d

@@ -9,6 +9,7 @@ from coarselab.cli import (
     ConfigError,
     ExperimentConfig,
     _number,
+    build_action,
     load_config,
     main,
     parse_config_text,
@@ -206,21 +207,19 @@ def test_main_batch(tmp_path, capsys):
     assert main(["batch", str(tmp_path / "empty-missing")]) == 2
 
 
-def _rotate_path_cfg(tmp_path, directory):
-    # rotating the nodes of a path graph (not a cycle) is no isometry
-    edges = tmp_path / "path.edges"
-    edges.write_text("0 1 1\n1 2 1\n2 3 1\n")
-    cfg = directory / "rotate_path.cfg"
+def _doubling_cfg(directory, monkeypatch):
+    # 'translate' is declared isometric; made to double, it is not one
+    monkeypatch.setattr(actions, "lattice_translation", lambda g: lambda p: (2 * p[0] + 1,))
+    cfg = directory / "doubling.cfg"
     cfg.write_text(
-        f"experiment = fixed-point\nspace = cone\nbase_edges = {edges}\n"
-        "height_max = 4\naction = rotate\nstart = 0@1\nhorizon = 20\n"
-        "mode = isometry\nball_radius = 4\n"
+        "experiment = fixed-point\nspace = Z^1\naction = translate\nby = 1\n"
+        "horizon = 20\nmode = isometry\nball_radius = 4\n"
     )
     return cfg
 
 
-def test_main_internal_check_failure_exit_code(tmp_path, capsys):
-    cfg = _rotate_path_cfg(tmp_path, tmp_path)
+def test_main_internal_check_failure_exit_code(tmp_path, capsys, monkeypatch):
+    cfg = _doubling_cfg(tmp_path, monkeypatch)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "internal check failed: IsometryViolation" in capsys.readouterr().out
     doc = json.loads((tmp_path / "o" / "manifest.json").read_text())
@@ -235,7 +234,7 @@ def test_main_batch_continues_after_internal_check_failure(tmp_path, capsys, mon
     monkeypatch.setattr(actions, "verify_coarse_action", failing_recheck)
     batch = tmp_path / "batch"
     batch.mkdir()
-    _rotate_path_cfg(tmp_path, batch)
+    _doubling_cfg(batch, monkeypatch)
     (batch / "verify.cfg").write_text(
         "experiment = verify-coarse\nspace = Z^1\naction = self-translation\n"
     )
@@ -245,10 +244,10 @@ def test_main_batch_continues_after_internal_check_failure(tmp_path, capsys, mon
     code = main(["batch", str(batch), "--out", str(tmp_path / "out")])
     assert code == 3
     out = capsys.readouterr().out
-    assert "rotate_path.cfg: internal check failed: IsometryViolation" in out
+    assert "doubling.cfg: internal check failed: IsometryViolation" in out
     assert "verify.cfg: internal check failed: AssertionError" in out
     assert "walk.cfg: exit 0" in out
-    for stem in ("rotate_path", "verify", "walk"):
+    for stem in ("doubling", "verify", "walk"):
         assert (tmp_path / "out" / stem / "manifest.json").exists()
     doc = json.loads((tmp_path / "out" / "verify" / "manifest.json").read_text())
     assert doc["error"] == "AssertionError: certificate does not re-check"
@@ -261,3 +260,59 @@ def test_edge_list_cone_space():
     )
     assert len(space.grid.nodes) == 16
     assert space.distance(("0", 1.0), ("1", 1.0)) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# failure configs
+
+_ROTATE_TRIANGLE = (
+    "experiment = fixed-point\nmode = isometry\nspace = cone\n"
+    "base_edges = {dir}/triangle.edges\nheight_max = 4\naction = rotate\n"
+    "start = x@1\nhorizon = 20\nball_radius = 4\n"
+)
+
+# case -> (command, config text with {dir} for the test directory or None
+# for a config file that does not exist, exit status, manifest written?,
+# text the command prints)
+FAILURE_CONFIGS = {
+    "missing-config-run": ("run", None, 2, False, "error: cannot read config"),
+    "missing-config-validate": ("validate", None, 2, False, "error: cannot read config"),
+    "missing-base-edges-run": (
+        "run",
+        "experiment = cone-diagnostic\nbase_edges = {dir}/nowhere.edges\n"
+        "entourage_radius = 1\nheights = 2\n",
+        2, True, "error: ValueError: cannot read base_edges",
+    ),
+    "rotate-off-cycle-validate": (
+        "validate", _ROTATE_TRIANGLE, 2, False,
+        "diagnostic: action 'rotate' needs a cone built from 'base_cycle'",
+    ),
+    "rotate-off-cycle-run": (
+        "run", _ROTATE_TRIANGLE, 2, True,
+        "error: action 'rotate' needs a cone built from 'base_cycle'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILURE_CONFIGS))
+def test_failure_configs(case, tmp_path, capsys):
+    command, text, status, has_manifest, message = FAILURE_CONFIGS[case]
+    (tmp_path / "triangle.edges").write_text("x y 1\ny z 1\nz x 1\n")
+    cfg = tmp_path / "case.cfg"
+    if text is not None:
+        cfg.write_text(text.format(dir=tmp_path))
+    out = tmp_path / "out"
+    argv = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == status
+    printed = capsys.readouterr().out
+    assert message in printed
+    assert (out / "manifest.json").exists() == has_manifest
+    if has_manifest:
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["error"] in printed and doc["outputs"] == []
+
+
+def test_build_action_rotate_needs_base_cycle():
+    cfg = cfg_from(f"space = cone\nbase_edges = {CONFIGS / 'cycle16.edges'}\naction = rotate\n")
+    with pytest.raises(ConfigError, match="base_cycle"):
+        build_action(cfg, space_from_config(cfg.raw))
