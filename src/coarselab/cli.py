@@ -56,8 +56,8 @@ def parse_config_text(text: str) -> dict[str, str]:
 def load_config(path) -> "ExperimentConfig":
     try:
         text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {str(path)!r}: {exc.strerror}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
     return ExperimentConfig(raw=parse_config_text(text), source=str(path))
 
 

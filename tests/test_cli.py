@@ -271,12 +271,13 @@ _ROTATE_TRIANGLE = (
     "start = x@1\nhorizon = 20\nball_radius = 4\n"
 )
 
-# case -> (command, config text with {dir} for the test directory or None
-# for a config file that does not exist, exit status, manifest written?,
-# text the command prints)
+# case -> (command, config text with {dir} for the test directory, raw
+# bytes, or None for a config file that does not exist; exit status,
+# manifest written?, text the command prints)
 FAILURE_CONFIGS = {
     "missing-config-run": ("run", None, 2, False, "error: cannot read config"),
     "missing-config-validate": ("validate", None, 2, False, "error: cannot read config"),
+    "binary-config-validate": ("validate", b"\xd0\xcf\x11", 2, False, "codec can't decode"),
     "missing-base-edges-run": (
         "run",
         "experiment = cone-diagnostic\nbase_edges = {dir}/nowhere.edges\n"
@@ -299,7 +300,9 @@ def test_failure_configs(case, tmp_path, capsys):
     command, text, status, has_manifest, message = FAILURE_CONFIGS[case]
     (tmp_path / "triangle.edges").write_text("x y 1\ny z 1\nz x 1\n")
     cfg = tmp_path / "case.cfg"
-    if text is not None:
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    elif text is not None:
         cfg.write_text(text.format(dir=tmp_path))
     out = tmp_path / "out"
     argv = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
