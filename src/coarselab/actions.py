@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +22,6 @@ from . import coarse
 from .coarse import CERTIFIED, INCONCLUSIVE, REFUTED, CoarseReport, ScaleRow
 from .spaces import (
     BallSpec,
-    FreeGroupSpace,
     LatticeSpace,
     Space,
     is_reduced,

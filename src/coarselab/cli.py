@@ -104,6 +104,9 @@ class ExperimentConfig:
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"invalid numeric value for {key!r}: {exc}") from exc
 
+    def optional_number(self, key: str) -> float | None:
+        return float(self.number(key)) if key in self.raw else None
+
     def numbers(self, key: str, default: str | None = None) -> list[Fraction]:
         text = self.raw.get(key, default)
         if text is None:
@@ -171,35 +174,46 @@ def parse_point(space: Space, text: str):
 # rotate reads node names as positions 0..n-1 around a base_cycle cone
 _ROTATE_NEEDS_CYCLE = "action 'rotate' needs a cone built from 'base_cycle'"
 
+# action -> the space class it acts on
+_ACTS_ON = {
+    "self-translation": LatticeSpace,
+    "left-translation": FreeGroupSpace,
+    "translate": LatticeSpace,
+    "left-multiply": FreeGroupSpace,
+    "right-multiply": FreeGroupSpace,
+    "odometer": BinaryTreeSpace,
+    "rotate": cone.ConeSpace,
+    "constant": Space,
+}
+
 
 def build_action(cfg: ExperimentConfig, space: Space) -> actions.ActionSpec:
     name = cfg.require("action").lower()
+    if name not in _ACTS_ON:
+        raise ConfigError(f"unknown action {cfg.get('action')!r}")
+    if not isinstance(space, _ACTS_ON[name]):
+        raise ConfigError(f"{name} acts on a {_ACTS_ON[name].model} space, not {space.model}")
     if name == "self-translation":
-        if not isinstance(space, LatticeSpace):
-            raise ConfigError("self-translation acts on a lattice space")
         return actions.lattice_translation_action(space)
     if name == "left-translation":
-        if not isinstance(space, FreeGroupSpace):
-            raise ConfigError("left-translation acts on the free group")
         return actions.free_group_left_translation_action()
     if name == "translate":
-        vec = tuple(int(c) for c in cfg.require("by").replace(",", " ").split())
+        vec = parse_point(space, cfg.require("by"))
         return actions.iterated_map_action(
             actions.lattice_translation(vec), f"translate{vec}", isometry=True
         )
     if name == "left-multiply":
         return actions.iterated_map_action(
-            actions.left_translation(cfg.require("by")), "left-multiply", isometry=True
+            actions.left_translation(parse_point(space, cfg.require("by"))), "left-multiply",
+            isometry=True,
         )
     if name == "right-multiply":
         return actions.iterated_map_action(
-            actions.right_translation(cfg.require("by")), "right-multiply"
+            actions.right_translation(parse_point(space, cfg.require("by"))), "right-multiply"
         )
     if name == "odometer":
         return actions.iterated_map_action(odometer.odometer_step, "odometer")
     if name == "rotate":
-        if not isinstance(space, cone.ConeSpace):
-            raise ConfigError("rotate acts on a cone space")
         if "base_cycle" not in cfg.raw:
             raise ConfigError(_ROTATE_NEEDS_CYCLE)
         step = int(cfg.get("step", 1))
@@ -212,9 +226,7 @@ def build_action(cfg: ExperimentConfig, space: Space) -> actions.ActionSpec:
             return (str((int(node) + step) % n), t)
 
         return actions.iterated_map_action(rot, f"rotate+{step}", isometry=True)
-    if name == "constant":
-        return actions.iterated_map_action(lambda p: space.basepoint, "constant")
-    raise ConfigError(f"unknown action {cfg.get('action')!r}")
+    return actions.iterated_map_action(lambda p: space.basepoint, "constant")
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +237,30 @@ def _run_verify_coarse(cfg: ExperimentConfig):
     space = space_from_config(cfg.raw)
     action = build_action(cfg, space)
     radii = [float(r) for r in cfg.numbers("radii", "1,2,4,8")]
-    sample = cfg.get("sample_radius")
-    domain = cfg.get("domain_radius")
     verification = actions.verify_coarse_action(
-        action,
-        space,
-        radii,
-        None if sample is None else float(_number(sample)),
-        None if domain is None else float(_number(domain)),
+        action, space, radii, cfg.optional_number("sample_radius"),
+        cfg.optional_number("domain_radius"),
     )
     return (
         {"action": verification.verdict},
         {"report.csv": verification.to_csv(),
          "report.json": _json(verification.to_json_dict())},
         verification.verdict == REFUTED,
+    )
+
+
+def _run_closeness(cfg: ExperimentConfig):
+    space = space_from_config(cfg.raw)
+    action = build_action(cfg, space)
+    if action.semigroup != "N":
+        raise ConfigError("closeness needs an iterated action (one map)")
+    report = coarse.closeness_bound(
+        action.step, lambda p: p, space, cfg.optional_number("sample_radius")
+    )
+    return (
+        {"close": report.verdict},
+        {"report.csv": report.to_csv(), "report.json": _json(report.to_json_dict())},
+        False,
     )
 
 
@@ -336,10 +358,8 @@ def _run_higson_defect(cfg: ExperimentConfig):
     f = _FUNCTIONS[fname](space)
     radius = float(cfg.number("entourage_radius"))
     balls = [float(b) for b in cfg.numbers("balls")]
-    window = cfg.get("window_radius")
     table = coarse.higson_defect(
-        f, space, radius, balls,
-        window_radius=None if window is None else float(_number(window)),
+        f, space, radius, balls, window_radius=cfg.optional_number("window_radius"),
         function_id=fname,
     )
     final = table.rows[-1].value if table.rows else 0.0
@@ -350,6 +370,7 @@ def _run_higson_defect(cfg: ExperimentConfig):
 # and run both read this table, and diagnostics list the kinds in its order
 _EXPERIMENTS = {
     "verify-coarse": (_run_verify_coarse, ("space", "action")),
+    "closeness": (_run_closeness, ("space", "action")),
     "orbit": (_run_orbit, ("space", "action", "horizon")),
     "fixed-point": (_run_fixed_point, ("space", "action", "horizon")),
     "odometer-density": (_run_odometer_density, ("precision", "epsilons")),

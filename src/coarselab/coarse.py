@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -262,7 +262,6 @@ def properness_table(
     bounded = True
     for r in radii:
         sel = dist_img <= r
-        counts = [int(np.sum(sel & (dist_src <= h))) for h in horizons]
         far = _masked_max(sel, dist_src)
         if far is not None:
             reach = [
@@ -277,7 +276,8 @@ def properness_table(
         else:
             reaches_every_edge = False
             witness_src = witness_dst = ""
-        rows.append(ScaleRow(float(r), float(counts[-1]), witness_src, witness_dst))
+        # every sampled point lies within the last horizon
+        rows.append(ScaleRow(float(r), float(sel.sum()), witness_src, witness_dst))
         if reaches_every_edge and r <= domain_radius / 2:
             refuted_rows.append((r, witness_src, witness_dst))
 

@@ -146,17 +146,19 @@ class ConeGrid:
         index = {v: i for i, v in enumerate(nodes)}
         if len(index) != len(nodes):
             raise ValueError("duplicate node names")
-        rows, cols, data = [], [], []
-        norm_edges = []
+        norm_edges, pairs = [], set()
         for u, v, w in edges:
             if u not in index or v not in index:
                 raise ValueError(f"edge ({u}, {v}) uses an unknown node")
-            w = float(w)
-            rows += [index[u], index[v]]
-            cols += [index[v], index[u]]
-            data += [w, w]
-            norm_edges.append((u, v, w))
-        graph = csr_matrix((data, (rows, cols)), shape=(len(nodes), len(nodes)))
+            # csr_matrix would sum a repeated pair, and a loop would stack on a vertical edge
+            if u == v or frozenset((u, v)) in pairs:
+                raise ValueError(f"edge ({u}, {v}) is a loop or a repeat; the base graph must be simple")
+            if not float(w) > 0:  # a negative length sends scipy's Dijkstra into a runaway heap
+                raise ValueError(f"edge ({u}, {v}) has length {w}; lengths must be positive")
+            pairs.add(frozenset((u, v)))
+            norm_edges.append((u, v, float(w)))
+        ends = np.array([(index[u], index[v]) for u, v, _ in norm_edges], dtype=np.intp)
+        graph = _undirected(len(nodes), ends.reshape(-1, 2).T, [w for _, _, w in norm_edges])
         dist = shortest_path(graph, method="D", directed=False)
         if np.isinf(dist).any():
             raise ValueError("base graph is disconnected")
@@ -183,10 +185,29 @@ class ConeGrid:
         return ConeGrid(self.nodes, self.edges, tuple(sorted(new)), self.base_distance)
 
     def grid_points(self) -> list[tuple[str, float]]:
+        """All grid points: the apex, then each positive height row in
+        node order.  This order is the grid's one point numbering."""
         pts: list[tuple[str, float]] = [(APEX, 0.0)]
         for t in self.heights[1:]:
             pts.extend((v, t) for v in self.nodes)
         return pts
+
+    @cached_property
+    def point_numbers(self) -> np.ndarray:
+        """[row, node] -> index in ``grid_points()``; row 0 is the apex."""
+        num = np.zeros((len(self.heights), len(self.nodes)), dtype=np.intp)
+        num[1:] = np.arange(1, 1 + num[1:].size).reshape(num[1:].shape)
+        return num
+
+    def validate(self, p) -> tuple[str, float]:
+        """Canonical form of a grid point; ModelMismatch off the grid."""
+        node, t = canonical_cone_point(p)
+        if t != 0.0:
+            if node not in self.node_index:
+                raise ModelMismatch(f"unknown base node {node!r}")
+            if t not in self.height_index:
+                raise ModelMismatch(f"height {t!r} is not on the grid")
+        return (node, t)
 
 
 def canonical_cone_point(p) -> tuple[str, float]:
@@ -199,6 +220,12 @@ def canonical_cone_point(p) -> tuple[str, float]:
     if t == 0.0:
         return (APEX, 0.0)  # all height-0 points are identified
     return (str(node), t)
+
+
+def _undirected(n: int, ends, weights) -> csr_matrix:
+    """Adjacency of the edges ends[0][k] -- ends[1][k], stored both ways."""
+    (i, j), w = ends, np.asarray(weights, dtype=float)
+    return csr_matrix((np.r_[w, w], (np.r_[i, j], np.r_[j, i])), shape=(n, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,14 +249,7 @@ class ConeSpace(Space):
         return (APEX, 0.0)
 
     def validate(self, p):
-        node, t = canonical_cone_point(p)
-        if t == 0.0:
-            return (APEX, 0.0)
-        if node not in self.grid.node_index:
-            raise ModelMismatch(f"unknown base node {node!r}")
-        if t not in self.grid.height_index:
-            raise ModelMismatch(f"height {t!r} is not on the grid")
-        return (node, t)
+        return self.grid.validate(p)
 
     @cached_property
     def _points(self) -> list[tuple[str, float]]:
@@ -241,41 +261,23 @@ class ConeSpace(Space):
 
     @cached_property
     def _graph(self) -> csr_matrix:
-        grid, lam = self.grid, self.lam
-        nb = len(grid.nodes)
-        heights = grid.heights
-        lam_vals = [lam(t) for t in heights]
-
-        def idx(node: str, hi: int) -> int:
-            if hi == 0:
-                return 0
-            return 1 + (hi - 1) * nb + grid.node_index[node]
-
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-
-        def add(i: int, j: int, w: float):
-            rows.extend((i, j))
-            cols.extend((j, i))
-            data.extend((w, w))
-
-        # vertical edges (including apex to the first row: pure height cost)
-        for v in grid.nodes:
-            add(0, idx(v, 1), heights[1])
-            for hi in range(1, len(heights) - 1):
-                add(idx(v, hi), idx(v, hi + 1), heights[hi + 1] - heights[hi])
-        # horizontal and diagonal edges along base edges
-        for u, v, w in grid.edges:
-            for hi in range(1, len(heights)):
-                add(idx(u, hi), idx(v, hi), lam_vals[hi] * w)
-                if hi + 1 < len(heights):
-                    dt = heights[hi + 1] - heights[hi]
-                    diag = dt + max(lam_vals[hi], lam_vals[hi + 1]) * w
-                    add(idx(u, hi), idx(v, hi + 1), diag)
-                    add(idx(u, hi + 1), idx(v, hi), diag)
-        n = 1 + (len(heights) - 1) * nb
-        return csr_matrix((data, (rows, cols)), shape=(n, n))
+        """Grid graph over the ``grid_points`` numbering: vertical edges
+        cost the height change, horizontal ones lambda(t) * w, and the
+        two diagonals of each cell dt + max lambda * w."""
+        grid, num = self.grid, self.grid.point_numbers
+        lam = np.array([self.lam(t) for t in grid.heights])
+        dt = np.diff(grid.heights)[:, None]
+        u, v = np.array([(grid.node_index[a], grid.node_index[b]) for a, b, _ in grid.edges],
+                        dtype=np.intp).reshape(-1, 2).T
+        w = np.array([e[2] for e in grid.edges])
+        diag = dt[1:] + np.maximum(lam[1:-1], lam[2:])[:, None] * w
+        parts = [  # (from, to, length): vertical (apex row included), horizontal, diagonals
+            (num[:-1], num[1:], dt), (num[1:, u], num[1:, v], lam[1:, None] * w),
+            (num[1:-1, u], num[2:, v], diag), (num[2:, u], num[1:-1, v], diag),
+        ]
+        i, j, lengths = (np.concatenate([np.broadcast_to(p[k], p[0].shape).ravel() for p in parts])
+                         for k in range(3))
+        return _undirected(len(self._points), (i, j), lengths)
 
     def _index_of(self, p) -> int:
         return self._point_index[self.validate(p)]
@@ -296,12 +298,10 @@ class ConeSpace(Space):
         return float(self._dist_row(self._index_of(p))[self._index_of(q)])
 
     def pairwise(self, ps, qs) -> np.ndarray:
-        src = [self._index_of(p) for p in ps]
+        src = np.array([self._index_of(p) for p in ps], dtype=np.intp)
         dst = [self._index_of(q) for q in qs]
-        uniq = sorted(set(src))
-        rows = dijkstra(self._graph, indices=uniq)
-        row_of = {s: i for i, s in enumerate(uniq)}
-        return rows[np.ix_([row_of[s] for s in src], dst)]
+        uniq, row_of = np.unique(src, return_inverse=True)
+        return dijkstra(self._graph, indices=uniq)[np.ix_(row_of, dst)]
 
     def paired(self, ps, qs) -> np.ndarray:
         if len(ps) != len(qs):
@@ -336,15 +336,7 @@ def lambda_length(grid: ConeGrid, lam: LambdaFunction, path: Sequence) -> float:
     coordinate is collapsed there)."""
     if len(path) < 2:
         raise ValueError("a path needs at least 2 points")
-    pts = []
-    for p in path:
-        node, t = canonical_cone_point(p)
-        if t != 0.0:
-            if node not in grid.node_index:
-                raise ModelMismatch(f"unknown base node {node!r}")
-            if t not in grid.height_index:
-                raise ModelMismatch(f"height {t!r} is not on the grid")
-        pts.append((node, t))
+    pts = [grid.validate(p) for p in path]
     total = 0.0
     for (u, s), (v, t) in zip(pts, pts[1:]):
         total += abs(s - t)
@@ -361,11 +353,7 @@ def cone_distance_upper(grid: ConeGrid, lam: LambdaFunction, p, q) -> float:
 
 def cone_distance_lower(p, q) -> float:
     """Trivial bracket partner: any path moves at least the height gap."""
-    u = canonical_cone_point(p)
-    v = canonical_cone_point(q)
-    if u == v:
-        return 0.0
-    return abs(u[1] - v[1])
+    return abs(canonical_cone_point(p)[1] - canonical_cone_point(q)[1])
 
 
 @dataclass(frozen=True)
@@ -416,26 +404,19 @@ def compactification_diagnostic(
     if entourage_radius < 0:
         raise ValueError("entourage radius must be >= 0")
     space = ConeSpace(grid, lam)
-    pts = space._points
-    pt_heights = np.array([t for _, t in pts])
-    node_ids = np.array(
-        [grid.node_index[v] if t > 0 else 0 for v, t in pts]
-    )
     rows = []
     for t in sorted(float(t) for t in heights):
         if t <= 0:
             raise ValueError("threshold heights must be positive (t = 0 is the apex)")
         if t > grid.heights[-1]:
             raise ValueError(f"threshold {t} is beyond the grid top {grid.heights[-1]}")
-        above = np.nonzero(pt_heights >= t)[0]
-        dmat = dijkstra(space._graph, indices=above, limit=entourage_radius)
-        sub = dmat[:, above]
-        src_nodes = node_ids[above]
-        measured = 0.0
-        finite = np.nonzero(np.isfinite(sub))
-        if len(finite[0]):
-            seps = grid.base_distance[src_nodes[finite[0]], src_nodes[finite[1]]]
-            measured = float(seps.max())
+        # the points at heights >= t are a tail of the grid_points numbering
+        first = grid.point_numbers[np.searchsorted(grid.heights, t), 0]
+        above = np.arange(first, len(space._points))
+        sub = dijkstra(space._graph, indices=above, limit=entourage_radius)[:, first:]
+        src_nodes = (above - 1) % len(grid.nodes)
+        a, b = np.nonzero(np.isfinite(sub))
+        measured = float(grid.base_distance[src_nodes[a], src_nodes[b]].max(initial=0.0))
         bound = entourage_radius / lam(t)
         rows.append(
             DiagnosticRow(
@@ -448,6 +429,9 @@ def compactification_diagnostic(
     return DiagnosticTable(
         entourage_radius=float(entourage_radius), slack=slack, rows=tuple(rows)
     )
+
+
+_LAMBDAS = {"linear": LambdaFunction.linear, "sqrt": LambdaFunction.sqrt}
 
 
 def cone_space_from_config(cfg: dict, cap: int = DEFAULT_CAP) -> ConeSpace:
@@ -479,11 +463,7 @@ def cone_space_from_config(cfg: dict, cap: int = DEFAULT_CAP) -> ConeSpace:
         extra = [float(Fraction(s.strip())) for s in str(cfg["extra_heights"]).split(",")]
     heights = geometric_heights(t_max, per_octave, extra)
     lam_name = str(cfg.get("lam", "linear")).lower()
-    if lam_name == "linear":
-        lam = LambdaFunction.linear()
-    elif lam_name == "sqrt":
-        lam = LambdaFunction.sqrt()
-    else:
+    if lam_name not in _LAMBDAS:
         raise ValueError(f"unknown lambda choice {lam_name!r}")
     grid = ConeGrid.build(nodes, edges, heights)
-    return ConeSpace(grid, lam, cap=cap)
+    return ConeSpace(grid, _LAMBDAS[lam_name](), cap=cap)

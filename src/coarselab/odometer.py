@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .coarse import rows_to_csv
-from .spaces import tree_vertex_value
 
 
 @dataclass(frozen=True)

@@ -271,6 +271,10 @@ _ROTATE_TRIANGLE = (
     "start = x@1\nhorizon = 20\nball_radius = 4\n"
 )
 
+_TRANSLATE_CONE = (
+    "experiment = orbit\nspace = cone\nbase_cycle = 8\naction = translate\nby = 1\nhorizon = 4\n"
+)
+
 # case -> (command, config text with {dir} for the test directory, raw
 # bytes, or None for a config file that does not exist; exit status,
 # manifest written?, text the command prints)
@@ -291,6 +295,36 @@ FAILURE_CONFIGS = {
     "rotate-off-cycle-run": (
         "run", _ROTATE_TRIANGLE, 2, True,
         "error: action 'rotate' needs a cone built from 'base_cycle'",
+    ),
+    "translate-on-cone-run": (
+        "run", _TRANSLATE_CONE, 2, True,
+        "error: ConfigError: translate acts on a lattice space, not cone",
+    ),
+    "left-multiply-on-lattice-run": (
+        "run",
+        "experiment = orbit\nspace = Z^1\naction = left-multiply\nby = a\nhorizon = 4\n",
+        2, True, "error: ConfigError: left-multiply acts on a free-group space, not lattice",
+    ),
+    "translate-wrong-rank-run": (
+        "run",
+        "experiment = orbit\nspace = Z^2\naction = translate\nby = 1\nhorizon = 4\n",
+        2, True, "error: ModelMismatch: expected integer tuple of length 2",
+    ),
+    "multiply-unreduced-run": (
+        "run",
+        "experiment = orbit\nspace = F2\naction = right-multiply\nby = aA\nhorizon = 4\n",
+        2, True, "error: ModelMismatch: expected a reduced word",
+    ),
+    "base-cycle-2-run": (
+        "run",
+        "experiment = cone-diagnostic\nbase_cycle = 2\nentourage_radius = 1\nheights = 2\n",
+        2, True, "the base graph must be simple",
+    ),
+    "zero-edge-length-run": (
+        "run",
+        "experiment = cone-diagnostic\nbase_cycle = 8\nedge_length = 0\n"
+        "entourage_radius = 1\nheights = 2\n",
+        2, True, "lengths must be positive",
     ),
 }
 
@@ -313,6 +347,35 @@ def test_failure_configs(case, tmp_path, capsys):
     if has_manifest:
         doc = json.loads((out / "manifest.json").read_text())
         assert doc["error"] in printed and doc["outputs"] == []
+
+
+def test_main_batch_continues_after_config_error(tmp_path, capsys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "cone.cfg").write_text(_TRANSLATE_CONE)
+    (batch / "walk.cfg").write_text(
+        "experiment = orbit\nspace = Z^1\naction = translate\nby = 1\nhorizon = 4\n"
+    )
+    assert main(["batch", str(batch), "--out", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr().out
+    assert "cone.cfg: error: ConfigError: translate acts on a lattice space" in out
+    assert "walk.cfg: exit 0" in out
+    for stem in ("cone", "walk"):
+        assert (tmp_path / "out" / stem / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("text, verdict, sups", [
+    ("space = Z^2\naction = translate\nby = 2, 1\nsample_radius = 40\n",
+     "certified-at-scale", [3.0, 3.0, 3.0]),
+    ("space = F2\naction = left-multiply\nby = a\nsample_radius = 6\n",
+     "inconclusive", [7.0, 11.0, 13.0]),
+])
+def test_closeness_run(tmp_path, text, verdict, sups):
+    manifest = run(cfg_from("experiment = closeness\n" + text), tmp_path / "o")
+    assert manifest.verdicts == {"close": verdict, "refuted": False}
+    rows = (tmp_path / "o" / "report.csv").read_text().strip().split("\n")[1:]
+    assert [float(r.split(",")[2]) for r in rows] == sups
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["verdict"] == verdict
 
 
 def test_build_action_rotate_needs_base_cycle():

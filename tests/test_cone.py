@@ -68,6 +68,18 @@ def test_grid_validation():
         ConeGrid.build(("x", "y"), (), (0.0, 1.0))
     with pytest.raises(ValueError, match="unknown node"):
         ConeGrid.build(("x",), (("x", "z", 1.0),), (0.0, 1.0))
+    # csr_matrix would sum a repeated pair into one longer edge, and a
+    # loop would lengthen the vertical edge it lands on
+    triangle = (("x", "y", 1.0), ("y", "z", 1.0), ("z", "x", 1.0))
+    for bad in (triangle + (("y", "x", 3.0),), triangle + (("x", "x", 1.0),)):
+        with pytest.raises(ValueError, match="must be simple"):
+            ConeGrid.build(("x", "y", "z"), bad, (0.0, 1.0))
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="must be simple"):
+            ConeGrid.build(*cycle_graph(n), (0.0, 1.0))
+    for length in (0.0, math.nan):  # a negative length is caught by the same test
+        with pytest.raises(ValueError, match="must be positive"):
+            ConeGrid.build(*cycle_graph(4, length), (0.0, 1.0))
 
 
 def test_geometric_heights():
@@ -284,3 +296,43 @@ def test_diagnostic_csv():
     assert lines[0] == "t,measured_sep,bound,pass"
     assert len(lines) == 3
     assert lines[1].endswith("true")
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: the grid graph built edge by edge in networkx
+
+
+def _networkx_grid_distances(grid, lam):
+    """All-pairs grid distances from the documented edge rules, keyed by
+    point, with no use of the library's point numbering or csr build."""
+    import networkx as nx
+
+    def point(v, t):
+        return (APEX, 0.0) if t == 0.0 else (v, t)
+
+    g = nx.Graph()
+    hs = grid.heights
+    for v in grid.nodes:
+        for a, b in zip(hs, hs[1:]):  # vertical: the height difference
+            g.add_edge(point(v, a), point(v, b), weight=b - a)
+    for u, v, w in grid.edges:
+        for t in hs[1:]:  # horizontal: lambda(t) * w
+            g.add_edge((u, t), (v, t), weight=lam(t) * w)
+        for a, b in zip(hs[1:], hs[2:]):  # diagonals: dt + max lambda * w
+            diag = (b - a) + max(lam(a), lam(b)) * w
+            g.add_edge((u, a), (v, b), weight=diag)
+            g.add_edge((u, b), (v, a), weight=diag)
+    return dict(nx.all_pairs_dijkstra_path_length(g))
+
+
+@pytest.mark.parametrize("base, lam", [
+    (cycle_graph(5), LINEAR),
+    (load_edge_list("x y 1\ny z 3/2\nz x 2\n"), LambdaFunction.sqrt()),
+])
+def test_pairwise_matches_networkx_oracle(base, lam):
+    grid = ConeGrid.build(*base, geometric_heights(8, per_octave=2, extra=[3.0]))
+    pts = grid.grid_points()
+    oracle = _networkx_grid_distances(grid, lam)
+    assert set(oracle) == set(pts)
+    expected = np.array([[oracle[p][q] for q in pts] for p in pts])
+    assert np.allclose(ConeSpace(grid, lam).pairwise(pts, pts), expected, rtol=0, atol=1e-9)
