@@ -142,25 +142,26 @@ def gromov_product(x, y) -> GromovProduct:
 
 
 def gromov_product_table(vertices: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Pairwise common-prefix lengths via cumulative bitwise agreement.
+    """Pairwise common-prefix lengths by position-by-position comparison.
 
     Bulk companion of :func:`gromov_product` for exhaustive sweeps;
-    deliberately computed by position-by-position comparison, not by the
-    distance formula.
+    deliberately computed by comparing bits, not by the distance formula.
+    A running mask marks the pairs that agree at every position so far,
+    and each position adds it to the table.  A position past a vertex's
+    depth reads -1 on the left and 2 on the right, so it matches nothing
+    and the mask stops at the shorter depth.
     """
     depth = max((len(v) for v in vertices), default=0)
-    mat = np.full((len(vertices), max(depth, 1)), -1, dtype=np.int8)
-    lens = np.array([len(v) for v in vertices], dtype=np.int64)
+    left = np.full((len(vertices), depth), -1, dtype=np.int8)
     for i, v in enumerate(vertices):
-        for k, b in enumerate(v):
-            mat[i, k] = b
-    out = np.empty((len(vertices), len(vertices)), dtype=np.int64)
-    chunk = max(1, 16_000_000 // (max(len(vertices), 1) * max(depth, 1)))
-    for i0 in range(0, len(vertices), chunk):
-        i1 = min(i0 + chunk, len(vertices))
-        eq = (mat[i0:i1, None, :] == mat[None, :, :]) & (mat[i0:i1, None, :] >= 0)
-        out[i0:i1] = np.cumprod(eq, axis=2).sum(axis=2)
-    return np.minimum(out, np.minimum(lens[:, None], lens[None, :]))
+        left[i, :len(v)] = v
+    right = np.where(left < 0, 2, left)
+    out = np.zeros((len(vertices), len(vertices)), dtype=np.int64)
+    agree = np.ones(out.shape, dtype=bool)
+    for a, b in zip(left.T, right.T):
+        agree &= a[:, None] == b[None, :]
+        out += agree
+    return out
 
 
 def boundary_distance(x: BoundaryWord, y: BoundaryWord) -> DyadicDistance:

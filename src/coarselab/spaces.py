@@ -336,23 +336,27 @@ class LatticeSpace(Space):
 
 
 def _prefix_lcp(x: np.ndarray, la, lb, bits: int) -> np.ndarray:
-    """Longest common prefix of packed symbol strings, from the XOR ``x``
-    of their codes and their lengths.
+    """Longest common prefix (uint8) of packed symbol strings, from the
+    XOR ``x`` of their codes and their uint8 lengths.
 
     Symbol j occupies bits [bits*j, bits*(j+1)) of a code, so the first
     disagreement is at symbol (trailing zeros of x) // bits, capped by the
-    shorter length.  Codes stay below 2^62: bit 62 set makes x == 0 read
-    as no disagreement, and the lowest set bit converts to float exactly.
+    shorter length.  (x & -x) - 1 sets exactly the trailing zeros of x,
+    and ``bitwise_count`` counts them into one byte.  It counts the bits of
+    the absolute value, so x == 0 would count 1: codes stay below 2^62 and
+    the caller sets bit 62 in one side of every XOR, so that a full match
+    reads as 62 trailing zeros, past every length.
     """
-    y = x | (1 << 62)
-    tz = np.log2(y & -y).astype(np.int64)
+    tz = np.bitwise_count((x & -x) - 1)
     return np.minimum(np.minimum(la, lb), tz // bits)
 
 
 def _prefix_distance_matrix(ca, la, cb, lb, bits: int) -> np.ndarray:
-    """|p| + |q| - 2 lcp(p, q) for every pair of packed strings."""
+    """|p| + |q| - 2 lcp(p, q) for every pair of packed strings, int64."""
     out = np.empty((len(ca), len(cb)), dtype=np.int64)
-    chunk = max(1, 8_000_000 // max(len(cb), 1))  # bound the intermediates
+    ca = ca | (1 << 62)
+    # 64k pairs a chunk keep each int64 intermediate (512 KB) in cache
+    chunk = max(1, 65_536 // max(len(cb), 1))
     for i0 in range(0, len(ca), chunk):
         rows = slice(i0, i0 + chunk)
         a, l = ca[rows, None], la[rows, None]
@@ -379,8 +383,9 @@ class _PrefixSpace(Space):
         )
 
     def _pack(self, ps) -> tuple[np.ndarray, np.ndarray]:
+        # lengths are at most 62, so every distance (<= 124) fits in uint8
         codes = np.array([self._code(p) for p in ps], dtype=np.int64)
-        return codes, np.array([len(p) for p in ps], dtype=np.int64)
+        return codes, np.array([len(p) for p in ps], dtype=np.uint8)
 
     def pairwise(self, ps, qs) -> np.ndarray:
         if not self._packable(ps, qs):
@@ -393,7 +398,8 @@ class _PrefixSpace(Space):
         if not self._packable(ps, qs):
             return super().paired(ps, qs)
         (ca, la), (cb, lb) = self._pack(ps), self._pack(qs)
-        return la + lb - 2 * _prefix_lcp(ca ^ cb, la, lb, self._BITS)
+        lcp = _prefix_lcp((ca | (1 << 62)) ^ cb, la, lb, self._BITS)
+        return (la + lb - 2 * lcp).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -486,9 +492,11 @@ class BinaryTreeSpace(_PrefixSpace):
         return ()
 
     def validate(self, p):
-        if not isinstance(p, tuple) or not all(b in (0, 1) for b in p):
-            raise ModelMismatch(f"expected a tuple of bits: {p!r}")
-        return p
+        if not isinstance(p, tuple) or not all(
+            isinstance(b, (int, np.integer)) and b in (0, 1) for b in p
+        ):
+            raise ModelMismatch(f"expected a tuple of integer bits: {p!r}")
+        return tuple(map(int, p))
 
     def distance(self, p, q) -> int:
         p = self.validate(p)

@@ -146,12 +146,19 @@ def test_gromov_product_is_common_prefix(u, v):
 
 
 def test_gromov_product_table_matches_scalar():
-    pts = list(all_vertices(6))
-    table = gromov_product_table(pts)
-    rng = random.Random(5)
-    for _ in range(500):
-        i, j = rng.randrange(len(pts)), rng.randrange(len(pts))
-        assert table[i, j] == gromov_product(pts[i], pts[j]).value
+    cases = [
+        list(all_vertices(6)),
+        [],
+        [()],
+        # unequal depths: shorter vertices are prefixes of longer ones
+        [(0, 1, 1, 0, 1), (), (0, 1), (1,), (0, 1, 1), (0, 1, 1, 0, 1, 1, 1), (1, 0)],
+    ]
+    for pts in cases:
+        table = gromov_product_table(pts)
+        assert table.shape == (len(pts), len(pts))
+        for i, p in enumerate(pts):
+            for j, q in enumerate(pts):
+                assert table[i, j] == gromov_product(p, q).value
 
 
 def test_boundary_distance_examples():

@@ -252,6 +252,57 @@ def test_prefix_kernel_matches_distance_at_packing_limit(space, pts, limit):
                 assert mat[i, j] == space.distance(p, q)
 
 
+def _reduced_word(choices) -> str:
+    """The reduced word whose k-th letter is choice k among the letters
+    that do not cancel letter k - 1; equal choice prefixes give equal word
+    prefixes of the same length."""
+    w = ""
+    for c in choices:
+        options = [x for x in "aAbB" if x != w[-1:].swapcase()]
+        w += options[c % len(options)]
+    return w
+
+
+@st.composite
+def _near_points(draw, symbols, max_len):
+    """Two lists of points of length <= max_len that branch off one drawn
+    stem, so they share prefixes of every length up to the stem's; stems
+    and shared prefixes lean long (hypothesis favours small draws)."""
+    n = max_len - draw(st.integers(0, max_len))
+    stem = draw(st.lists(symbols, min_size=n, max_size=n))
+
+    def branch():
+        cut = n - draw(st.integers(0, n))
+        return stem[:cut] + draw(st.lists(symbols, max_size=max_len - cut))
+
+    return [[branch() for _ in range(draw(st.integers(1, 8)))] for _ in range(2)]
+
+
+@pytest.mark.parametrize(
+    "space,symbols,limit,point",
+    [
+        (F2, st.integers(0, 3), 20, _reduced_word),
+        (T2, st.integers(0, 1), 62, tuple),
+    ],
+    ids=["F2", "T2"],
+)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_prefix_kernel_matches_distance_property(space, symbols, limit, point, data):
+    sides = data.draw(_near_points(symbols, limit + 1))
+    ps, qs = ([point(s) for s in side] for side in sides)
+    n = min(len(ps), len(qs))
+    packed = all(len(p) <= limit for p in ps + qs)
+    mat, vec = space.pairwise(ps, qs), space.paired(ps[:n], qs[:n])
+    if packed:
+        assert mat.dtype == vec.dtype == np.int64
+    for i, p in enumerate(ps):
+        for j, q in enumerate(qs):
+            assert mat[i, j] == space.distance(p, q)
+    for i in range(n):
+        assert vec[i] == space.distance(ps[i], qs[i])
+
+
 @pytest.mark.parametrize("space", [Z1, Z2], ids=["Z1", "Z2"])
 def test_lattice_kernels_exact_beyond_int64(space):
     coords = (0, 1, 2**62, -(2**62), 2**63, -(2**63) - 1)
@@ -279,6 +330,16 @@ def test_validate_rejects_model_mismatch():
         F2.validate("aA")
     with pytest.raises(ModelMismatch):
         T2.validate((0, 2))
+    with pytest.raises(ModelMismatch):
+        T2.validate((0.0, 1.0))
+
+
+def test_tree_validate_takes_numpy_bits_as_ints():
+    # numpy bits past depth 63 would wrap in the vertex's integer code
+    p = (np.int64(1),) * 70
+    q = p[:-1] + (np.int64(0),)
+    assert T2.validate(q) == (1,) * 69 + (0,)
+    assert T2.distance(p, q) == 2
 
 
 def test_n_lattice_is_restriction_of_z_metric():
