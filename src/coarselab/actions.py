@@ -442,15 +442,15 @@ def _check_isometry_on_sequence(space: Space, seq: Sequence, seed: int, samples:
     if len(seq) < 3:
         return
     rng = random.Random(seed)
+    ij = [(rng.randrange(len(seq) - 1), rng.randrange(len(seq) - 1)) for _ in range(samples)]
+    before = space.paired([seq[i] for i, _ in ij], [seq[j] for _, j in ij])
+    after = space.paired([seq[i + 1] for i, _ in ij], [seq[j + 1] for _, j in ij])
     tol = 0.0 if space.integer_metric else 1e-9
-    for _ in range(samples):
-        i = rng.randrange(len(seq) - 1)
-        j = rng.randrange(len(seq) - 1)
-        before = space.distance(seq[i], seq[j])
-        after = space.distance(seq[i + 1], seq[j + 1])
-        if abs(after - before) > tol:
-            raise IsometryViolation(
-                f"d changed from {before} to {after} under the generator at "
+    for (i, j), b, a in zip(ij, before, after):
+        if abs(a - b) > tol:
+            raise IsometryViolation(  # scalar distances print as the model's own numbers
+                f"d changed from {space.distance(seq[i], seq[j])} to "
+                f"{space.distance(seq[i + 1], seq[j + 1])} under the generator at "
                 f"({space.format_point(seq[i])}, {space.format_point(seq[j])})"
             )
 

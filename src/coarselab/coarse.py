@@ -235,9 +235,11 @@ def properness_table(
     """Preimage cardinalities of target balls, watched across growing
     domain horizons.
 
-    A radius refutes properness at scale when its preimage keeps reaching
-    the edge of every tested domain window (the map re-enters a bounded
-    set unboundedly often as far as the desk can see); certification
+    A radius refutes properness at scale when its preimage reaches the
+    edge of every domain window beyond r + d(y0, f(x0)) + 1, and there
+    are at least two such windows (the map re-enters a bounded set
+    unboundedly often as far as the desk can see); no isometry or group
+    translation has a preimage point that far out.  Certification
     requires every preimage to sit strictly inside the final window.
     """
     radii = sorted(radii)
@@ -256,38 +258,29 @@ def properness_table(
     for q in images:
         target.validate(q)
     dist_img = distances_from(target, target.basepoint, images)
+    offset = dist_img[int(np.argmin(dist_src))]  # d(y0, f(x0)); x0 is the one point at 0
 
     rows = []
-    refuted_rows: list[tuple] = []
+    counterexample = None  # the witness pair of the first refuting radius
     bounded = True
     for r in radii:
         sel = dist_img <= r
         far = _masked_max(sel, dist_src)
+        witness_src = witness_dst = ""
         if far is not None:
-            reach = [
-                (_masked_max(sel & (dist_src <= h), dist_src) or (-math.inf,))[0]
-                for h in horizons
-            ]
-            reaches_every_edge = all(m >= h - 1 - 1e-9 for m, h in zip(reach, horizons))
-            if reach[-1] > horizons[-1] - 1 + 1e-9:
+            if far[0] > horizons[-1] - 1 + 1e-9:
                 bounded = False  # preimage touches the final window edge
             witness_src = source.format_point(pts[far[1]])
             witness_dst = target.format_point(images[far[1]])
-        else:
-            reaches_every_edge = False
-            witness_src = witness_dst = ""
         # every sampled point lies within the last horizon
         rows.append(ScaleRow(float(r), float(sel.sum()), witness_src, witness_dst))
-        if reaches_every_edge and r <= domain_radius / 2:
-            refuted_rows.append((r, witness_src, witness_dst))
+        outer = [h for h in horizons if h > r + offset + 1]
+        if counterexample is None and len(outer) >= 2 and all(
+            (sel & (dist_src >= h - 1 - 1e-9) & (dist_src <= h)).any() for h in outer
+        ):
+            counterexample = (witness_src, witness_dst)
 
-    if refuted_rows:
-        _, wsrc, wdst = refuted_rows[0]
-        verdict, counterexample = REFUTED, (wsrc, wdst)
-    elif bounded:
-        verdict, counterexample = CERTIFIED, None
-    else:
-        verdict, counterexample = INCONCLUSIVE, None
+    verdict = REFUTED if counterexample else CERTIFIED if bounded else INCONCLUSIVE
     return CoarseReport(
         prop="proper",
         rows=tuple(rows),

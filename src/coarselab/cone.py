@@ -28,6 +28,10 @@ from .spaces import DEFAULT_CAP, ModelMismatch, Space
 
 APEX = "*"
 
+# distinct sources per ConeSpace.paired Dijkstra call: bounds the
+# distance rows held in memory at once
+_PAIRED_ROWS = 128
+
 
 @dataclass(frozen=True)
 class LambdaFunction:
@@ -262,61 +266,55 @@ class ConeSpace(Space):
     @cached_property
     def _graph(self) -> csr_matrix:
         """Grid graph over the ``grid_points`` numbering: vertical edges
-        cost the height change, horizontal ones lambda(t) * w, and the
-        two diagonals of each cell dt + max lambda * w."""
+        cost the height change, horizontal ones lambda(t) * w.  A cell
+        diagonal would cost dt + max lambda * w, while going vertical and
+        then across at the lower-lambda row costs dt + min lambda * w, so
+        no shortest path needs one and the graph carries none."""
         grid, num = self.grid, self.grid.point_numbers
         lam = np.array([self.lam(t) for t in grid.heights])
         dt = np.diff(grid.heights)[:, None]
         u, v = np.array([(grid.node_index[a], grid.node_index[b]) for a, b, _ in grid.edges],
                         dtype=np.intp).reshape(-1, 2).T
         w = np.array([e[2] for e in grid.edges])
-        diag = dt[1:] + np.maximum(lam[1:-1], lam[2:])[:, None] * w
-        parts = [  # (from, to, length): vertical (apex row included), horizontal, diagonals
-            (num[:-1], num[1:], dt), (num[1:, u], num[1:, v], lam[1:, None] * w),
-            (num[1:-1, u], num[2:, v], diag), (num[2:, u], num[1:-1, v], diag),
-        ]
-        i, j, lengths = (np.concatenate([np.broadcast_to(p[k], p[0].shape).ravel() for p in parts])
-                         for k in range(3))
+        vertical = (num[:-1], num[1:], np.broadcast_to(dt, num[1:].shape))  # apex row included
+        horizontal = (num[1:, u], num[1:, v], lam[1:, None] * w)
+        i, j, lengths = (np.r_[a.ravel(), b.ravel()] for a, b in zip(vertical, horizontal))
         return _undirected(len(self._points), (i, j), lengths)
 
-    def _index_of(self, p) -> int:
-        return self._point_index[self.validate(p)]
+    def _indices(self, ps) -> np.ndarray:
+        return np.array([self._point_index[self.validate(p)] for p in ps], dtype=np.intp)
 
-    @cached_property
-    def _row_cache(self) -> dict[int, np.ndarray]:
-        return {}
-
-    def _dist_row(self, source_index: int) -> np.ndarray:
-        cache = self._row_cache
-        if source_index not in cache:
-            if len(cache) > 128:
-                cache.clear()
-            cache[source_index] = dijkstra(self._graph, indices=source_index)
-        return cache[source_index]
+    def _rows(self, ps) -> tuple[np.ndarray, np.ndarray]:
+        """Distance rows of the distinct points of ``ps`` from one
+        multi-source Dijkstra, and the row number of each point."""
+        uniq, row_of = np.unique(self._indices(ps), return_inverse=True)
+        return dijkstra(self._graph, indices=uniq), row_of
 
     def distance(self, p, q) -> float:
-        return float(self._dist_row(self._index_of(p))[self._index_of(q)])
+        rows, _ = self._rows([p])
+        return float(rows[0, self._indices([q])[0]])
 
     def pairwise(self, ps, qs) -> np.ndarray:
-        src = np.array([self._index_of(p) for p in ps], dtype=np.intp)
-        dst = [self._index_of(q) for q in qs]
-        uniq, row_of = np.unique(src, return_inverse=True)
-        return dijkstra(self._graph, indices=uniq)[np.ix_(row_of, dst)]
+        rows, row_of = self._rows(ps)
+        return rows[np.ix_(row_of, self._indices(qs))]
 
     def paired(self, ps, qs) -> np.ndarray:
         if len(ps) != len(qs):
             raise ValueError("paired distance needs equal-length sequences")
+        uniq, row_of = np.unique(self._indices(ps), return_inverse=True)
+        dst = self._indices(qs)
         out = np.empty(len(ps))
-        dst = [self._index_of(q) for q in qs]
-        for i, p in enumerate(ps):
-            out[i] = self._dist_row(self._index_of(p))[dst[i]]
+        for lo in range(0, len(uniq), _PAIRED_ROWS):
+            hit = (row_of >= lo) & (row_of < lo + _PAIRED_ROWS)
+            rows = dijkstra(self._graph, indices=uniq[lo:lo + _PAIRED_ROWS])
+            out[hit] = rows[row_of[hit] - lo, dst[hit]]
         return out
 
     def closed_ball(self, center, r) -> list:
         if r < 0:
             raise ValueError("radius must be >= 0")
-        row = self._dist_row(self._index_of(center))
-        hits = np.nonzero(row <= r)[0]
+        rows, _ = self._rows([center])
+        hits = np.nonzero(rows[0] <= r)[0]
         self._check_cap(len(hits))
         return [self._points[i] for i in hits]
 

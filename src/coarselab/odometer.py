@@ -18,6 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .coarse import rows_to_csv
+from .spaces import BinaryTreeSpace
+
+_TREE = BinaryTreeSpace()
 
 
 @dataclass(frozen=True)
@@ -115,9 +118,7 @@ def _bits_of(x) -> tuple[tuple[int, ...], bool]:
     """(bits, is_truncation) for a tree vertex or boundary word."""
     if isinstance(x, BoundaryWord):
         return x.bits, True
-    if isinstance(x, tuple) and all(b in (0, 1) for b in x):
-        return x, False
-    raise TypeError(f"expected TreeVertex tuple or BoundaryWord: {x!r}")
+    return _TREE.validate(x), False
 
 
 def gromov_product(x, y) -> GromovProduct:
@@ -151,6 +152,7 @@ def gromov_product_table(vertices: Sequence[tuple[int, ...]]) -> np.ndarray:
     depth reads -1 on the left and 2 on the right, so it matches nothing
     and the mask stops at the shorter depth.
     """
+    vertices = [_TREE.validate(v) for v in vertices]
     depth = max((len(v) for v in vertices), default=0)
     left = np.full((len(vertices), depth), -1, dtype=np.int8)
     for i, v in enumerate(vertices):

@@ -6,6 +6,7 @@ import pytest
 
 from coarselab import actions
 from coarselab.cli import (
+    _EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     _number,
@@ -223,7 +224,9 @@ def test_main_internal_check_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "internal check failed: IsometryViolation" in capsys.readouterr().out
     doc = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    assert doc["error"].startswith("IsometryViolation: d changed")
+    assert doc["error"] == (
+        "IsometryViolation: d changed from 4096 to 8192 under the generator at ((4095), (8191))"
+    )
     assert doc["outputs"] == []
 
 
@@ -275,9 +278,14 @@ _TRANSLATE_CONE = (
     "experiment = orbit\nspace = cone\nbase_cycle = 8\naction = translate\nby = 1\nhorizon = 4\n"
 )
 
+_PROPER_TRANSLATION = (
+    "experiment = verify-coarse\n{}\nradii = 1, 2, 3, 4\nsample_radius = 4\ndomain_radius = 8\n"
+)
+
 # case -> (command, config text with {dir} for the test directory, raw
 # bytes, or None for a config file that does not exist; exit status,
-# manifest written?, text the command prints)
+# manifest written?, text the command prints); the exit-0 rows are
+# proper maps that the properness certifier once refuted
 FAILURE_CONFIGS = {
     "missing-config-run": ("run", None, 2, False, "error: cannot read config"),
     "missing-config-validate": ("validate", None, 2, False, "error: cannot read config"),
@@ -326,6 +334,14 @@ FAILURE_CONFIGS = {
         "entourage_radius = 1\nheights = 2\n",
         2, True, "lengths must be positive",
     ),
+    "translate-z1-by-3-proper-run": (
+        "run", _PROPER_TRANSLATION.format("space = Z^1\naction = translate\nby = 3"),
+        0, True, "action: certified-at-scale",
+    ),
+    "right-multiply-aba-proper-run": (
+        "run", _PROPER_TRANSLATION.format("space = F2\naction = right-multiply\nby = aba"),
+        0, True, "action: certified-at-scale",
+    ),
 }
 
 
@@ -346,7 +362,10 @@ def test_failure_configs(case, tmp_path, capsys):
     assert (out / "manifest.json").exists() == has_manifest
     if has_manifest:
         doc = json.loads((out / "manifest.json").read_text())
-        assert doc["error"] in printed and doc["outputs"] == []
+        if status == 0:
+            assert doc["error"] is None and doc["outputs"]
+        else:
+            assert doc["error"] in printed and doc["outputs"] == []
 
 
 def test_main_batch_continues_after_config_error(tmp_path, capsys):
@@ -376,6 +395,15 @@ def test_closeness_run(tmp_path, text, verdict, sups):
     rows = (tmp_path / "o" / "report.csv").read_text().strip().split("\n")[1:]
     assert [float(r.split(",")[2]) for r in rows] == sups
     assert json.loads((tmp_path / "o" / "report.json").read_text())["verdict"] == verdict
+
+
+def test_experiment_docs_cover_every_kind():
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "experiments.md").read_text()
+    sections = dict(part.partition("\n")[::2] for part in doc.split("\n## ")[1:])
+    for kind, (_, required) in _EXPERIMENTS.items():
+        assert kind in sections, f"docs/experiments.md has no '## {kind}' section"
+        for key in required:
+            assert f"`{key}`" in sections[kind], f"'## {kind}' does not name {key!r}"
 
 
 def test_build_action_rotate_needs_base_cycle():

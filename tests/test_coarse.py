@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coarselab.actions import lattice_translation, right_translation
+from coarselab.actions import lattice_translation, left_translation, right_translation
 from coarselab.coarse import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -19,6 +21,7 @@ from coarselab.spaces import (
     BinaryTreeSpace,
     FreeGroupSpace,
     LatticeSpace,
+    reduce_word,
     word_inverse,
     word_multiply,
 )
@@ -153,6 +156,27 @@ def test_free_translation_preimage_is_bounded():
 def test_constant_map_is_refuted():
     rep = properness_table(lambda p: (0,), Z1, Z1, [2], domain_radius=40)
     assert rep.verdict == REFUTED
+
+
+_radii = st.lists(st.integers(1, 8), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-12, 12), min_size=1, max_size=2), _radii, st.integers(1, 30))
+def test_lattice_translation_is_never_refuted(by, radii, domain_radius):
+    # the preimage of B(0, r) under p -> p + c reaches |c| + r, inside
+    # every horizon the refutation rule counts
+    z = LatticeSpace(len(by))
+    rep = properness_table(lattice_translation(tuple(by)), z, z, radii, domain_radius)
+    assert rep.verdict != REFUTED
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.text("aAbB", max_size=4).map(reduce_word), st.sampled_from(["left", "right"]),
+       _radii, st.integers(1, 7))
+def test_free_group_translation_is_never_refuted(g, side, radii, domain_radius):
+    f = left_translation(g) if side == "left" else right_translation(g)
+    assert properness_table(f, F2, F2, radii, domain_radius).verdict != REFUTED
 
 
 # ---------------------------------------------------------------------------

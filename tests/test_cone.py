@@ -236,6 +236,24 @@ def test_pairwise_matches_scalar():
         assert mat[i, j] == sp.distance(pts[i], pts[j])
 
 
+def test_distance_paths_agree_past_one_paired_batch():
+    # 401 distinct sources: paired needs four Dijkstra calls of <= 128 rows
+    grid = ConeGrid.build(*cycle_graph(16), geometric_heights(64))
+    sp = ConeSpace(grid, LINEAR)
+    pts = grid.grid_points()
+    assert len(pts) > 3 * 128
+    rng = random.Random(4)
+    ps = rng.sample(pts, len(pts))
+    qs = [rng.choice(pts) for _ in ps]
+    paired = sp.paired(ps, qs)
+    assert (paired == np.diag(sp.pairwise(ps, qs))).all()
+    assert paired.tolist() == [sp.distance(p, q) for p, q in zip(ps, qs)]
+    rows = sp.pairwise(pts, pts)
+    for c in rng.sample(range(len(pts)), 20):
+        r = rng.uniform(0, 40)
+        assert sp.closed_ball(pts[c], r) == [q for q, d in zip(pts, rows[c]) if d <= r]
+
+
 # ---------------------------------------------------------------------------
 # compactification diagnostic
 
@@ -320,7 +338,9 @@ def _networkx_grid_distances(grid, lam):
     for u, v, w in grid.edges:
         for t in hs[1:]:  # horizontal: lambda(t) * w
             g.add_edge((u, t), (v, t), weight=lam(t) * w)
-        for a, b in zip(hs[1:], hs[2:]):  # diagonals: dt + max lambda * w
+        # diagonals: dt + max lambda * w; the library's graph leaves them
+        # out, so matching this oracle shows that no shortest path needs one
+        for a, b in zip(hs[1:], hs[2:]):
             diag = (b - a) + max(lam(a), lam(b)) * w
             g.add_edge((u, a), (v, b), weight=diag)
             g.add_edge((u, b), (v, a), weight=diag)
@@ -330,6 +350,8 @@ def _networkx_grid_distances(grid, lam):
 @pytest.mark.parametrize("base, lam", [
     (cycle_graph(5), LINEAR),
     (load_edge_list("x y 1\ny z 3/2\nz x 2\n"), LambdaFunction.sqrt()),
+    # flat on [1, 4]: there a diagonal ties with vertical-then-across
+    (cycle_graph(5), LambdaFunction.from_table([(0, 0), (1, 1), (4, 1), (8, 3)])),
 ])
 def test_pairwise_matches_networkx_oracle(base, lam):
     grid = ConeGrid.build(*base, geometric_heights(8, per_octave=2, extra=[3.0]))

@@ -17,7 +17,7 @@ from coarselab.odometer import (
     odometer_step,
     odometer_step_boundary,
 )
-from coarselab.spaces import BinaryTreeSpace, tree_vertex_value
+from coarselab.spaces import BinaryTreeSpace, ModelMismatch, tree_vertex_value
 
 T2 = BinaryTreeSpace()
 
@@ -143,6 +143,13 @@ def test_gromov_product_is_common_prefix(u, v):
     assert u[:r] == v[:r]
     if r < min(len(u), len(v)):
         assert u[r] != v[r]
+
+
+def test_gromov_products_reject_non_integer_bits():
+    with pytest.raises(ModelMismatch):
+        gromov_product((0.0, 1.0), (0, 1))
+    with pytest.raises(ModelMismatch):
+        gromov_product_table([(0.0, 1.0), (0, 1)])
 
 
 def test_gromov_product_table_matches_scalar():
