@@ -32,6 +32,7 @@ from .spaces import (
     FreeGroupSpace,
     LatticeSpace,
     Space,
+    names_lattice,
     space_from_config,
 )
 
@@ -339,6 +340,9 @@ def _run_cone_diagnostic(cfg: ExperimentConfig):
     )
 
 
+# sin-coordinate reads a point's first coordinate
+_SIN_NEEDS_LATTICE = "function 'sin-coordinate' needs a lattice space (Z^k or N^k)"
+
 _FUNCTIONS = {
     "sin-log": lambda space: (
         lambda p: math.sin(math.log1p(space.distance(space.basepoint, p)))
@@ -355,6 +359,8 @@ def _run_higson_defect(cfg: ExperimentConfig):
         raise ConfigError(
             f"unknown function {fname!r}; choose from {sorted(_FUNCTIONS)}"
         )
+    if fname == "sin-coordinate" and not isinstance(space, LatticeSpace):
+        raise ConfigError(_SIN_NEEDS_LATTICE)
     f = _FUNCTIONS[fname](space)
     radius = float(cfg.number("entourage_radius"))
     balls = [float(b) for b in cfg.numbers("balls")]
@@ -413,6 +419,9 @@ def validate(cfg: ExperimentConfig) -> list[str]:
     if ("action" in required and cfg.get("action", "").lower() == "rotate"
             and "base_cycle" not in cfg.raw):
         diags.append(_ROTATE_NEEDS_CYCLE)
+    if (exp == "higson-defect" and cfg.get("function") == "sin-coordinate"
+            and "space" in cfg.raw and not names_lattice(cfg.raw["space"])):
+        diags.append(_SIN_NEEDS_LATTICE)
     return diags
 
 

@@ -9,6 +9,7 @@ concrete witness pair that a single distance evaluation re-checks.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .spaces import BinaryTreeSpace, Space, word_metric_bfs_oracle
+from .spaces import BinaryTreeSpace, LatticeSpace, Space, word_metric_bfs_oracle
 
 CERTIFIED = "certified-at-scale"
 REFUTED = "refuted"
@@ -187,8 +188,6 @@ def bornologous_profile(
         raise ValueError("radii must be non-empty")
     pts = source.closed_ball(source.basepoint, _sample_radius(source, sample_radius))
     images = [f(p) for p in pts]
-    for q in images:
-        target.validate(q)
 
     n = len(pts)
     best = {r: (-math.inf, None, None) for r in radii}
@@ -255,8 +254,6 @@ def properness_table(
     pts = source.closed_ball(source.basepoint, horizons[-1])
     dist_src = distances_from(source, source.basepoint, pts)
     images = [f(p) for p in pts]
-    for q in images:
-        target.validate(q)
     dist_img = distances_from(target, target.basepoint, images)
     offset = dist_img[int(np.argmin(dist_src))]  # d(y0, f(x0)); x0 is the one point at 0
 
@@ -312,8 +309,6 @@ def closeness_bound(
     dist_src = distances_from(source, source.basepoint, pts)
     fs = [f(p) for p in pts]
     gs = [g(p) for p in pts]
-    for q in fs + gs:
-        target.validate(q)
     gap = np.asarray(target.paired(fs, gs), dtype=float)
 
     rows = []
@@ -362,21 +357,14 @@ def higson_defect(
         pts = space.closed_ball(space.basepoint, window_radius)
         table = dict(zip(pts, distances_from(space, space.basepoint, pts)))
     points = list(table)
-    index = {p: i for i, p in enumerate(points)}
     base_dist = np.array([table[p] for p in points])
     values = np.array([float(f(p)) for p in points])
 
     # enumerate the entourage pairs once; per-ball exclusion is a mask
-    src_ids, dst_ids = [], []
-    for p in points:
-        i = index[p]
-        for q in space.closed_ball(p, entourage_radius):
-            j = index.get(q)
-            if j is not None and j > i:  # partner inside the window, unordered
-                src_ids.append(i)
-                dst_ids.append(j)
-    src = np.array(src_ids, dtype=np.int64)
-    dst = np.array(dst_ids, dtype=np.int64)
+    if isinstance(space, LatticeSpace):
+        src, dst = _translated_entourage(space, points, entourage_radius)
+    else:
+        src, dst = _ball_entourage(space, points, entourage_radius)
     gaps = np.abs(values[dst] - values[src])
 
     rows = []
@@ -393,3 +381,57 @@ def higson_defect(
         entourage_radius=float(entourage_radius),
         rows=tuple(rows),
     )
+
+
+def _ball_entourage(space: Space, points: list, radius: float):
+    """Index pairs (i, j), i < j, of window points within ``radius``: one
+    ``closed_ball`` per source, sources in window order, partners in ball
+    order."""
+    index = {p: i for i, p in enumerate(points)}
+    src_ids, dst_ids = [], []
+    for i, p in enumerate(points):
+        for q in space.closed_ball(p, radius):
+            j = index.get(q)
+            if j is not None and j > i:  # partner inside the window, unordered
+                src_ids.append(i)
+                dst_ids.append(j)
+    return np.array(src_ids, dtype=np.int64), np.array(dst_ids, dtype=np.int64)
+
+
+def _translated_entourage(space: LatticeSpace, points: list, radius: float):
+    """The pairs of ``_ball_entourage`` on a lattice, whose word metric is
+    translation-invariant: B(p, R) = p + B(0, R).
+
+    The offsets B(0, R) come from the signed ambient lattice, so N^k keeps
+    the negative ones.  Each point gets a mixed-radix key, exact (int64,
+    or Python integers when the key range passes int64), that is linear
+    in its coordinates, so the key of p + o is key(p) + key(o) and one
+    sorted search finds which translates are window points.  Offsets stay
+    in ``closed_ball``'s lexicographic order, which translation keeps, so
+    the pairs come in the same order as ball by ball.
+    """
+    ambient = dataclasses.replace(space, signed=True)
+    offsets = ambient.closed_ball(ambient.basepoint, radius)
+    coords, steps = space._coords(points), space._coords(offsets)
+    lo = [int(a) + int(b) for a, b in zip(coords.min(axis=0), steps.min(axis=0))]
+    hi = [int(a) + int(b) for a, b in zip(coords.max(axis=0), steps.max(axis=0))]
+    spans = [h - l + 1 for l, h in zip(lo, hi)]
+    dtype = np.int64 if math.prod(spans) <= np.iinfo(np.int64).max else object
+    radix = np.array([math.prod(spans[d + 1:]) for d in range(len(spans))], dtype=dtype)
+    keys = ((coords.astype(dtype) - np.array(lo, dtype=dtype)) * radix).sum(axis=1)
+    shifts = (steps.astype(dtype) * radix).sum(axis=1)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+
+    src, dst = [], []
+    # 64k candidates a chunk, as in the prefix distance kernel
+    chunk = max(1, 65_536 // len(shifts))
+    for i0 in range(0, len(points), chunk):
+        cand = keys[i0:i0 + chunk, None] + shifts
+        pos = np.minimum(np.searchsorted(sorted_keys, cand), len(points) - 1)
+        j = order[pos]
+        ids = np.arange(i0, i0 + len(cand))
+        rows, cols = np.nonzero((sorted_keys[pos] == cand) & (j > ids[:, None]))
+        src.append(rows + i0)
+        dst.append(j[rows, cols])
+    return np.concatenate(src), np.concatenate(dst)

@@ -44,6 +44,7 @@ LETTERS = "aAbB"
 _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 # packed code of a word: one octal digit (3 bits) per letter, first letter lowest
 _OCTAL = str.maketrans(LETTERS, "1234")
+_NO_LETTERS = str.maketrans("", "", LETTERS)
 
 
 class ModelMismatch(ValueError):
@@ -220,9 +221,37 @@ class Space:
             raise ValueError("paired distance needs equal-length sequences")
         return np.array([self.distance(p, q) for p, q in zip(ps, qs)], dtype=float)
 
+    def _validate_all(self, *seqs):
+        """Raise ``validate``'s ``ModelMismatch`` for the first point it
+        rejects, sequence by sequence.  One vectorized ``_all_valid`` test
+        per sequence skips the scalar check when every point passes."""
+        for ps in seqs:
+            if not self._all_valid(ps):
+                for p in ps:
+                    self.validate(p)
+
+    def _all_valid(self, ps) -> bool:
+        """True only if ``validate`` accepts every point of ``ps``; False
+        sends ``_validate_all`` to the scalar check."""
+        return False
+
     def _check_cap(self, n: int, what: str = "ball enumeration"):
         if n > self.cap:
             raise CapExceeded(f"{what} exceeded cap of {self.cap} points")
+
+
+def _integer_tuples(ps, length: int | None = None) -> list | None:
+    """The coordinates of ``ps``, flattened, when every point is a tuple
+    (of ``length`` entries, if given) of ints or numpy integers; else
+    None.  Type tests run over the sets of types, not point by point."""
+    if not set(map(type, ps)) <= {tuple}:
+        return None
+    if length is not None and not set(map(len, ps)) <= {length}:
+        return None
+    flat = list(itertools.chain.from_iterable(ps))
+    if not all(issubclass(t, (int, np.integer)) for t in set(map(type, flat))):
+        return None
+    return flat
 
 
 def _as_int_radius(r) -> int:
@@ -289,6 +318,10 @@ class LatticeSpace(Space):
             raise ModelMismatch(f"N^{self.rank} point has a negative coordinate: {p!r}")
         return tuple(int(c) for c in p)
 
+    def _all_valid(self, ps) -> bool:
+        flat = _integer_tuples(ps, self.rank)
+        return flat is not None and (self.signed or min(flat, default=0) >= 0)
+
     def distance(self, p, q) -> int:
         p = self.validate(p)
         q = self.validate(q)
@@ -307,11 +340,13 @@ class LatticeSpace(Space):
         return [p for p in points if all(c >= 0 for c in p)]
 
     def _coords(self, ps) -> np.ndarray:
-        """Points as an int64 array while every l1 distance among them fits
-        in int64, else as an array of exact Python integers."""
+        """Validated points as an int64 array while every l1 distance among
+        them fits in int64, else as an array of exact Python integers."""
         limit = np.iinfo(np.int64).max // (2 * self.rank)
+        n = len(ps) * self.rank
         try:
-            a = np.asarray(ps, dtype=np.int64).reshape(len(ps), self.rank)
+            a = np.fromiter(itertools.chain.from_iterable(ps), np.int64, n)
+            a = a.reshape(len(ps), self.rank)
             if a.size == 0 or (a.max() <= limit and a.min() >= -limit):
                 return a
         except OverflowError:
@@ -319,16 +354,18 @@ class LatticeSpace(Space):
         return np.array(ps, dtype=object).reshape(len(ps), self.rank)
 
     def pairwise(self, ps, qs) -> np.ndarray:
+        self._validate_all(ps, qs)
         if not self.standard:
             return super().pairwise(ps, qs)
         a, b = self._coords(ps), self._coords(qs)
         return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=-1)
 
     def paired(self, ps, qs) -> np.ndarray:
-        if not self.standard:
-            return super().paired(ps, qs)
         if len(ps) != len(qs):
             raise ValueError("paired distance needs equal-length sequences")
+        self._validate_all(ps, qs)
+        if not self.standard:
+            return super().paired(ps, qs)
         return np.abs(self._coords(ps) - self._coords(qs)).sum(axis=-1)
 
     def format_point(self, p) -> str:
@@ -388,6 +425,7 @@ class _PrefixSpace(Space):
         return codes, np.array([len(p) for p in ps], dtype=np.uint8)
 
     def pairwise(self, ps, qs) -> np.ndarray:
+        self._validate_all(ps, qs)
         if not self._packable(ps, qs):
             return super().pairwise(ps, qs)
         return _prefix_distance_matrix(*self._pack(ps), *self._pack(qs), self._BITS)
@@ -395,6 +433,7 @@ class _PrefixSpace(Space):
     def paired(self, ps, qs) -> np.ndarray:
         if len(ps) != len(qs):
             raise ValueError("paired distance needs equal-length sequences")
+        self._validate_all(ps, qs)
         if not self._packable(ps, qs):
             return super().paired(ps, qs)
         (ca, la), (cb, lb) = self._pack(ps), self._pack(qs)
@@ -442,6 +481,16 @@ class FreeGroupSpace(_PrefixSpace):
         if not isinstance(p, str) or not is_reduced(p):
             raise ModelMismatch(f"expected a reduced word over {LETTERS!r}: {p!r}")
         return p
+
+    def _all_valid(self, ps) -> bool:
+        if not set(map(type, ps)) <= {str}:
+            return False
+        # newline-joined, the words leave only their separators once the
+        # letters are deleted, and hold no cancelling pair
+        joined = "\n".join(ps)
+        return joined.translate(_NO_LETTERS) == "\n" * max(len(ps) - 1, 0) and not any(
+            pair in joined for pair in ("aA", "Aa", "bB", "Bb")
+        )
 
     def distance(self, p, q) -> int:
         p = self.validate(p)
@@ -497,6 +546,10 @@ class BinaryTreeSpace(_PrefixSpace):
         ):
             raise ModelMismatch(f"expected a tuple of integer bits: {p!r}")
         return tuple(map(int, p))
+
+    def _all_valid(self, ps) -> bool:
+        flat = _integer_tuples(ps)
+        return flat is not None and set(flat) <= {0, 1}
 
     def distance(self, p, q) -> int:
         p = self.validate(p)
@@ -572,6 +625,12 @@ def _parse_generators_lattice(text: str, rank: int) -> tuple[tuple[int, ...], ..
     return tuple(gens)
 
 
+def names_lattice(name: str) -> bool:
+    """Whether a ``space`` value names Z^k or N^k."""
+    low = name.strip().lower()
+    return low.startswith(("z^", "n^")) or low in ("z", "n")
+
+
 def space_from_config(cfg: dict) -> Space:
     """Build a space handle from a flat key-value mapping.
 
@@ -585,7 +644,7 @@ def space_from_config(cfg: dict) -> Space:
         raise ValueError("missing required field 'space'")
     cap = int(cfg.get("cap", DEFAULT_CAP))
     low = name.lower()
-    if low.startswith(("z^", "n^")) or low in ("z", "n"):
+    if names_lattice(low):
         rank = int(low[2:]) if "^" in low else 1
         signed = low.startswith("z")
         gens = None

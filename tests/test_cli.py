@@ -278,6 +278,11 @@ _TRANSLATE_CONE = (
     "experiment = orbit\nspace = cone\nbase_cycle = 8\naction = translate\nby = 1\nhorizon = 4\n"
 )
 
+_SIN_OFF_LATTICE = (
+    "experiment = higson-defect\nspace = {}\nfunction = sin-coordinate\n"
+    "entourage_radius = 1\nballs = 2\n"
+)
+
 _PROPER_TRANSLATION = (
     "experiment = verify-coarse\n{}\nradii = 1, 2, 3, 4\nsample_radius = 4\ndomain_radius = 8\n"
 )
@@ -333,6 +338,14 @@ FAILURE_CONFIGS = {
         "experiment = cone-diagnostic\nbase_cycle = 8\nedge_length = 0\n"
         "entourage_radius = 1\nheights = 2\n",
         2, True, "lengths must be positive",
+    ),
+    "sin-coordinate-on-tree-validate": (
+        "validate", _SIN_OFF_LATTICE.format("tree"), 2, False,
+        "diagnostic: function 'sin-coordinate' needs a lattice space",
+    ),
+    "sin-coordinate-on-f2-run": (
+        "run", _SIN_OFF_LATTICE.format("F2"), 2, True,
+        "error: function 'sin-coordinate' needs a lattice space",
     ),
     "translate-z1-by-3-proper-run": (
         "run", _PROPER_TRANSLATION.format("space = Z^1\naction = translate\nby = 3"),

@@ -11,6 +11,8 @@ from coarselab.coarse import (
     INCONCLUSIVE,
     REFUTED,
     ControlledSetSpec,
+    _ball_entourage,
+    _translated_entourage,
     bornologous_profile,
     closeness_bound,
     higson_defect,
@@ -23,6 +25,7 @@ from coarselab.spaces import (
     LatticeSpace,
     reduce_word,
     word_inverse,
+    word_metric_bfs_oracle,
     word_multiply,
 )
 
@@ -244,6 +247,72 @@ def test_defect_witness_recheck():
     assert Z1.distance(x, y) <= 4
     assert not (abs(x[0]) <= 20 and abs(y[0]) <= 20)
     assert abs(f(y) - f(x)) == row.value
+
+
+def _entourage_oracle(space, window, radius):
+    """Window points, and every pair i < j within ``radius`` by brute-force
+    ``pairwise``, each source's partners in closed-ball order."""
+    points = list(word_metric_bfs_oracle(space, window))
+    near = space.pairwise(points, points) <= radius
+    pairs = [
+        (i, j)
+        for i in range(len(points))
+        for j in sorted(np.nonzero(near[i])[0].tolist(),
+                        key=lambda j: (len(points[j]), points[j]))
+        if j > i
+    ]
+    return points, pairs
+
+
+def _defect_oracle(space, points, pairs, f, balls):
+    """The Higson table row by row: first largest gap, in pair order, over
+    pairs not inside B x B."""
+    depth = [space.distance(space.basepoint, p) for p in points]
+    rows = []
+    for b in balls:
+        best = (0.0, "", "")
+        for i, j in pairs:
+            gap = abs(f(points[j]) - f(points[i]))
+            if not (depth[i] <= b and depth[j] <= b) and (best[1] == "" or gap > best[0]):
+                best = (gap, space.format_point(points[i]), space.format_point(points[j]))
+        rows.append((float(b),) + best)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "space,window,radius",
+    [
+        (Z1, 12, 3),
+        (Z2, 6, 2),
+        (LatticeSpace(2, signed=False), 6, 2),
+        (LatticeSpace(2, generators=((1, 2), (0, 3))), 4, 3),
+        (LatticeSpace(3), 4, 2),
+        (LatticeSpace(30), 1, 2),  # a mixed-radix key of 7^30 passes int64
+        (F2, 3, 2),
+    ],
+    ids=["Z1", "Z2", "N2", "Z2-custom", "Z3", "Z30", "F2"],
+)
+def test_entourage_matches_brute_force(space, window, radius):
+    points, pairs = _entourage_oracle(space, window, radius)
+    build = _translated_entourage if isinstance(space, LatticeSpace) else _ball_entourage
+    src, dst = build(space, points, radius)
+    assert list(zip(src.tolist(), dst.tolist())) == pairs
+    # a radial function ties everywhere, so the witnesses pin the pair order
+    f = lambda p: float(space.distance(space.basepoint, p) % 3)
+    balls = [window / 2, window]
+    table = higson_defect(f, space, radius, balls, window_radius=window)
+    rows = [(r.scale, r.value, r.witness_src, r.witness_dst) for r in table.rows]
+    assert rows == _defect_oracle(space, points, pairs, f, balls)
+
+
+def test_higson_witnesses_under_ties():
+    table = higson_defect(lambda p: p[0] % 2, Z1, 3, [2, 5], window_radius=10)
+    assert [(r.witness_src, r.witness_dst) for r in table.rows] == [
+        ("(0)", "(-3)"), ("(-3)", "(-6)")
+    ]
+    n2 = LatticeSpace(2, signed=False)
+    table = higson_defect(lambda p: (p[0] + p[1]) % 2, n2, 2, [3], window_radius=8)
+    assert [(r.witness_src, r.witness_dst) for r in table.rows] == [("(0,3)", "(0,4)")]
 
 
 def test_higson_validation_errors():

@@ -315,6 +315,49 @@ def test_lattice_kernels_exact_beyond_int64(space):
             assert mat[i, j] == space.distance(p, q)
 
 
+# entries that some model rejects: floats, numpy bools, strings, None, and
+# integers off the tree's bits or beyond int64
+_ENTRIES = st.one_of(
+    st.integers(-2, 2),
+    st.sampled_from([0.5, 1.0, True, np.int64(1), np.bool_(True), "1", None, 2**70]),
+)
+_TUPLES = st.lists(_ENTRIES, max_size=3).map(tuple)
+# near misses: a negative N^2 coordinate, a list, a 2 among tree bits
+_PAIRS = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+_SUSPECTS = {
+    "Z2": (Z2, st.one_of(_TUPLES, _PAIRS, _PAIRS.map(list))),
+    "N2": (N2, st.one_of(_TUPLES, _PAIRS)),
+    "F2": (F2, st.one_of(st.text("aAbBx\n", max_size=5), _TUPLES)),
+    "T2": (T2, st.one_of(_TUPLES, st.lists(st.integers(0, 2), max_size=3).map(tuple))),
+}
+
+
+def _first_rejection(space, points):
+    for p in points:
+        try:
+            space.validate(p)
+        except ModelMismatch as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", list(_SUSPECTS))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernels_reject_what_validate_rejects(name, data):
+    space, point = _SUSPECTS[name]
+    ps = data.draw(st.lists(point, max_size=4))
+    qs = data.draw(st.lists(point, min_size=len(ps), max_size=len(ps)))
+    expected = _first_rejection(space, ps + qs)  # ps before qs
+    for kernel in (space.pairwise, space.paired):
+        if expected is None:
+            kernel(ps, qs)
+        else:
+            with pytest.raises(ModelMismatch) as exc:
+                kernel(ps, qs)
+            assert str(exc.value) == expected
+
+
 # ---------------------------------------------------------------------------
 # model validation and custom generating sets
 
