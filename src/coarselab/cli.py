@@ -32,7 +32,7 @@ from .spaces import (
     FreeGroupSpace,
     LatticeSpace,
     Space,
-    names_lattice,
+    parse_space_name,
     space_from_config,
 )
 
@@ -234,10 +234,13 @@ def build_action(cfg: ExperimentConfig, space: Space) -> actions.ActionSpec:
 # experiment bodies; each returns (verdicts, {output file: text}, refuted?)
 
 
+_DEFAULT_RADII = "1,2,4,8"
+
+
 def _run_verify_coarse(cfg: ExperimentConfig):
     space = space_from_config(cfg.raw)
     action = build_action(cfg, space)
-    radii = [float(r) for r in cfg.numbers("radii", "1,2,4,8")]
+    radii = [float(r) for r in cfg.numbers("radii", _DEFAULT_RADII)]
     verification = actions.verify_coarse_action(
         action, space, radii, cfg.optional_number("sample_radius"),
         cfg.optional_number("domain_radius"),
@@ -403,6 +406,17 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         for key in required
         if key not in cfg.raw
     ]
+    model = None  # the model the space value names, once it parses
+    if "space" in required and "space" in cfg.raw:
+        try:
+            model = parse_space_name(cfg.raw["space"])[0]
+        except ValueError as exc:
+            diags.append(str(exc))
+    if exp == "verify-coarse":
+        try:
+            coarse._radii([float(r) for r in cfg.numbers("radii", _DEFAULT_RADII)])
+        except (ValueError, ZeroDivisionError) as exc:
+            diags.append(f"{exc} (radii = {cfg.get('radii', _DEFAULT_RADII)})")
     if exp == "odometer-density" and "precision" in cfg.raw and "epsilons" in cfg.raw:
         try:
             precision = int(cfg.number("precision"))
@@ -420,7 +434,7 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             and "base_cycle" not in cfg.raw):
         diags.append(_ROTATE_NEEDS_CYCLE)
     if (exp == "higson-defect" and cfg.get("function") == "sin-coordinate"
-            and "space" in cfg.raw and not names_lattice(cfg.raw["space"])):
+            and model not in (None, "lattice")):
         diags.append(_SIN_NEEDS_LATTICE)
     return diags
 

@@ -17,7 +17,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .spaces import BinaryTreeSpace, LatticeSpace, Space, word_metric_bfs_oracle
+from .spaces import (
+    BLOCK_PAIRS,
+    BinaryTreeSpace,
+    LatticeSpace,
+    Space,
+    word_metric_bfs_oracle,
+)
 
 CERTIFIED = "certified-at-scale"
 REFUTED = "refuted"
@@ -135,11 +141,18 @@ def distances_from(space: Space, p, pts: Sequence) -> np.ndarray:
 
 def _masked_max(mask: np.ndarray, values: np.ndarray) -> tuple[float, int] | None:
     """The largest of ``values`` where ``mask`` holds, with its first flat
-    index; None when the mask selects nothing."""
-    if not mask.any():
-        return None
-    masked = np.where(mask, values, -math.inf)
+    index; None when the mask selects nothing.  Unsigned values are masked
+    to 0 by one multiply, which stays in their dtype; others to -inf."""
+    if values.dtype.kind == "u":
+        masked = values * mask
+    else:
+        masked = np.where(mask, values, -math.inf)
     k = int(np.argmax(masked))
+    if not mask.flat[k]:
+        # the maximum is the fill: every selected value equals it, if any
+        k = int(np.argmax(mask))
+        if not mask.flat[k]:
+            return None
     return float(masked.flat[k]), k
 
 
@@ -153,6 +166,16 @@ def _sample_radius(space: Space, sample_radius):
     if sample_radius < 0:
         raise ValueError("sample ball radius must be >= 0")
     return sample_radius
+
+
+def _radii(radii) -> list:
+    """Sorted radii; an empty or repeated list is an error."""
+    radii = sorted(radii)
+    if not radii:
+        raise ValueError("radii must be non-empty")
+    if len(set(radii)) < len(radii):
+        raise ValueError("radii must be distinct")
+    return radii
 
 
 def _fit_affine(radii: np.ndarray, values: np.ndarray) -> tuple[float, float]:
@@ -183,24 +206,31 @@ def bornologous_profile(
     The verdict is always ``certified-at-scale``: finite data bounds the
     profile on the sampled window and proves nothing beyond it.
     """
-    radii = list(DEFAULT_RADII) if radii is None else sorted(radii)
-    if not radii:
-        raise ValueError("radii must be non-empty")
+    radii = _radii(DEFAULT_RADII if radii is None else radii)
     pts = source.closed_ball(source.basepoint, _sample_radius(source, sample_radius))
     images = [f(p) for p in pts]
+    src, tgt = source._distance_blocks(pts), target._distance_blocks(images)
 
+    # A metric table is symmetric, so its first row-major maximum lies on
+    # or above the diagonal, and rows i0:i1 need only columns i0: .  Float
+    # (cone) distances need not be exactly symmetric and keep full rows.
+    upper = source.integer_metric and target.integer_metric
     n = len(pts)
     best = {r: (-math.inf, None, None) for r in radii}
-    chunk = max(1, 4_000_000 // max(n, 1))
-    for i0 in range(0, n, chunk):
-        i1 = min(i0 + chunk, n)
-        dsrc = np.asarray(source.pairwise(pts[i0:i1], pts), dtype=float)
-        dtgt = np.asarray(target.pairwise(images[i0:i1], images), dtype=float)
+    i0 = 0
+    while i0 < n:
+        j0 = i0 if upper else 0
+        i1 = min(n, i0 + max(1, BLOCK_PAIRS // (n - j0)))
+        dsrc, dtgt = src(i0, i1, j0), tgt(i0, i1, j0)
+        if dtgt.dtype != np.uint8:
+            dtgt = dtgt.astype(float)  # other kernels' distances compare as floats
         for r in radii:
-            hit = _masked_max(dsrc <= r, dtgt)
+            # an integer block compares with floor(R) in its own dtype
+            hit = _masked_max(dsrc <= (math.floor(r) if dsrc.dtype.kind in "iu" else r), dtgt)
             if hit is not None and hit[0] > best[r][0]:
-                i, j = divmod(hit[1], n)
-                best[r] = (hit[0], pts[i0 + i], pts[j])
+                i, j = divmod(hit[1], n - j0)
+                best[r] = (hit[0], pts[i0 + i], pts[j0 + j])
+        i0 = i1
 
     rows = []
     for r in radii:
@@ -241,9 +271,7 @@ def properness_table(
     translation has a preimage point that far out.  Certification
     requires every preimage to sit strictly inside the final window.
     """
-    radii = sorted(radii)
-    if not radii:
-        raise ValueError("radii must be non-empty")
+    radii = _radii(radii)
     if domain_radius is None:
         domain_radius = 2 * max(radii) + 4
     if domain_radius <= 0:
@@ -424,7 +452,7 @@ def _translated_entourage(space: LatticeSpace, points: list, radius: float):
     sorted_keys = keys[order]
 
     src, dst = [], []
-    # 64k candidates a chunk, as in the prefix distance kernel
+    # 64k candidates a chunk
     chunk = max(1, 65_536 // len(shifts))
     for i0 in range(0, len(points), chunk):
         cand = keys[i0:i0 + chunk, None] + shifts

@@ -284,19 +284,25 @@ class ConeSpace(Space):
     def _indices(self, ps) -> np.ndarray:
         return np.array([self._point_index[self.validate(p)] for p in ps], dtype=np.intp)
 
-    def _rows(self, ps) -> tuple[np.ndarray, np.ndarray]:
-        """Distance rows of the distinct points of ``ps`` from one
-        multi-source Dijkstra, and the row number of each point."""
-        uniq, row_of = np.unique(self._indices(ps), return_inverse=True)
+    def _rows(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """Distance rows of the distinct points among the point numbers
+        ``idx`` from one multi-source Dijkstra, and the row of each."""
+        uniq, row_of = np.unique(idx, return_inverse=True)
         return dijkstra(self._graph, indices=uniq), row_of
 
     def distance(self, p, q) -> float:
-        rows, _ = self._rows([p])
+        rows, _ = self._rows(self._indices([p]))
         return float(rows[0, self._indices([q])[0]])
 
     def pairwise(self, ps, qs) -> np.ndarray:
-        rows, row_of = self._rows(ps)
+        rows, row_of = self._rows(self._indices(ps))
         return rows[np.ix_(row_of, self._indices(qs))]
+
+    def _distance_blocks(self, ps):
+        # every row up front, as pairwise(ps, ps) computes them
+        idx = self._indices(ps)
+        rows, row_of = self._rows(idx)
+        return lambda i0, i1, j0: rows[np.ix_(row_of[i0:i1], idx[j0:])]
 
     def paired(self, ps, qs) -> np.ndarray:
         if len(ps) != len(qs):
@@ -313,7 +319,7 @@ class ConeSpace(Space):
     def closed_ball(self, center, r) -> list:
         if r < 0:
             raise ValueError("radius must be >= 0")
-        rows, _ = self._rows([center])
+        rows, _ = self._rows(self._indices([center]))
         hits = np.nonzero(rows[0] <= r)[0]
         self._check_cap(len(hits))
         return [self._points[i] for i in hits]

@@ -39,11 +39,15 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 DEFAULT_CAP = 1_000_000
+# pairs a distance kernel computes at once: 16k keep each int64
+# intermediate at 128 KB, so a block's few of them stay in L2
+BLOCK_PAIRS = 16_384
 
 LETTERS = "aAbB"
 _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
-# packed code of a word: one octal digit (3 bits) per letter, first letter lowest
-_OCTAL = str.maketrans(LETTERS, "1234")
+# packed symbol of each letter (by its byte): 3 bits, never 0
+_LETTER_SYMBOLS = np.zeros(128, dtype=np.int64)
+_LETTER_SYMBOLS[[ord(ch) for ch in LETTERS]] = [1, 2, 3, 4]
 _NO_LETTERS = str.maketrans("", "", LETTERS)
 
 
@@ -221,6 +225,13 @@ class Space:
             raise ValueError("paired distance needs equal-length sequences")
         return np.array([self.distance(p, q) for p, q in zip(ps, qs)], dtype=float)
 
+    def _distance_blocks(self, ps: Sequence) -> Callable[[int, int, int], np.ndarray]:
+        """``block(i0, i1, j0)``, the distances from ``ps[i0:i1]`` to
+        ``ps[j0:]``.  Models with a private kernel override this to
+        validate and pack ``ps`` once; this fallback asks ``pairwise``
+        block by block."""
+        return lambda i0, i1, j0: self.pairwise(ps[i0:i1], ps[j0:])
+
     def _validate_all(self, *seqs):
         """Raise ``validate``'s ``ModelMismatch`` for the first point it
         rejects, sequence by sequence.  One vectorized ``_all_valid`` test
@@ -351,14 +362,23 @@ class LatticeSpace(Space):
                 return a
         except OverflowError:
             pass
-        return np.array(ps, dtype=object).reshape(len(ps), self.rank)
+        # numpy integers become Python ones, which cannot overflow
+        return np.array([list(map(int, p)) for p in ps], dtype=object).reshape(
+            len(ps), self.rank
+        )
 
     def pairwise(self, ps, qs) -> np.ndarray:
         self._validate_all(ps, qs)
         if not self.standard:
             return super().pairwise(ps, qs)
-        a, b = self._coords(ps), self._coords(qs)
-        return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=-1)
+        return _l1_matrix(self._coords(ps), self._coords(qs))
+
+    def _distance_blocks(self, ps):
+        if not self.standard:
+            return super()._distance_blocks(ps)
+        self._validate_all(ps)
+        a = self._coords(ps)
+        return lambda i0, i1, j0: _l1_matrix(a[i0:i1], a[j0:])
 
     def paired(self, ps, qs) -> np.ndarray:
         if len(ps) != len(qs):
@@ -370,6 +390,11 @@ class LatticeSpace(Space):
 
     def format_point(self, p) -> str:
         return "(" + ",".join(str(c) for c in p) + ")"
+
+
+def _l1_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """l1 distances between the rows of two coordinate arrays."""
+    return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=-1)
 
 
 def _prefix_lcp(x: np.ndarray, la, lb, bits: int) -> np.ndarray:
@@ -388,16 +413,20 @@ def _prefix_lcp(x: np.ndarray, la, lb, bits: int) -> np.ndarray:
     return np.minimum(np.minimum(la, lb), tz // bits)
 
 
+def _prefix_distance(ca, la, cb, lb, bits: int) -> np.ndarray:
+    """|p| + |q| - 2 lcp(p, q), uint8, broadcast between packed strings;
+    the codes ``ca`` carry bit 62 (see ``_prefix_lcp``)."""
+    return la + lb - 2 * _prefix_lcp(ca ^ cb, la, lb, bits)
+
+
 def _prefix_distance_matrix(ca, la, cb, lb, bits: int) -> np.ndarray:
     """|p| + |q| - 2 lcp(p, q) for every pair of packed strings, int64."""
     out = np.empty((len(ca), len(cb)), dtype=np.int64)
     ca = ca | (1 << 62)
-    # 64k pairs a chunk keep each int64 intermediate (512 KB) in cache
-    chunk = max(1, 65_536 // max(len(cb), 1))
+    chunk = max(1, BLOCK_PAIRS // max(len(cb), 1))
     for i0 in range(0, len(ca), chunk):
         rows = slice(i0, i0 + chunk)
-        a, l = ca[rows, None], la[rows, None]
-        out[rows] = l + lb - 2 * _prefix_lcp(a ^ cb, l, lb, bits)
+        out[rows] = _prefix_distance(ca[rows, None], la[rows, None], cb, lb, bits)
     return out
 
 
@@ -405,24 +434,35 @@ class _PrefixSpace(Space):
     """A model whose standard metric is d(p, q) = |p| + |q| - 2 lcp(p, q).
 
     A point of at most ``_PACK_LIMIT`` symbols packs into one int64 code,
-    ``_code(p)``, ``_BITS`` bits per symbol, and ``pairwise`` / ``paired``
-    run on the prefix kernel.  Longer points and custom generating sets
-    take the scalar ``distance``.
+    ``_BITS`` bits per symbol, symbol j at bits [bits*j, bits*(j+1)), and
+    ``pairwise`` / ``paired`` run on the prefix kernel.  Longer points and
+    custom generating sets take the scalar ``distance``.
     """
 
     _BITS: int
     _PACK_LIMIT: int
     standard = True
 
-    def _packable(self, ps, qs) -> bool:
-        return self.standard and all(
-            len(p) <= self._PACK_LIMIT for p in itertools.chain(ps, qs)
-        )
+    def _packable(self, *seqs) -> bool:
+        return self.standard and max(
+            map(len, itertools.chain(*seqs)), default=0
+        ) <= self._PACK_LIMIT
+
+    def _symbols(self, ps) -> np.ndarray:
+        """The int64 symbols of the validated points ``ps``, flattened."""
+        raise NotImplementedError
 
     def _pack(self, ps) -> tuple[np.ndarray, np.ndarray]:
-        # lengths are at most 62, so every distance (<= 124) fits in uint8
-        codes = np.array([self._code(p) for p in ps], dtype=np.int64)
-        return codes, np.array([len(p) for p in ps], dtype=np.uint8)
+        """int64 codes and uint8 lengths of validated, packable points;
+        lengths are at most 62, so every distance (<= 124) fits in uint8."""
+        lengths = np.fromiter(map(len, ps), np.intp, len(ps))
+        # the flattened symbols fill a zero-padded point-by-position
+        # matrix row by row; a code is the sum of symbol j << bits*j
+        filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        symbols = np.zeros(filled.shape, np.int64)
+        symbols[filled] = self._symbols(ps)
+        symbols <<= self._BITS * np.arange(filled.shape[1])
+        return symbols.sum(axis=1), lengths.astype(np.uint8)
 
     def pairwise(self, ps, qs) -> np.ndarray:
         self._validate_all(ps, qs)
@@ -437,8 +477,18 @@ class _PrefixSpace(Space):
         if not self._packable(ps, qs):
             return super().paired(ps, qs)
         (ca, la), (cb, lb) = self._pack(ps), self._pack(qs)
-        lcp = _prefix_lcp((ca | (1 << 62)) ^ cb, la, lb, self._BITS)
-        return (la + lb - 2 * lcp).astype(np.int64)
+        return _prefix_distance(ca | (1 << 62), la, cb, lb, self._BITS).astype(np.int64)
+
+    def _distance_blocks(self, ps):
+        """uint8 blocks of the prefix kernel over ``ps``, packed once."""
+        self._validate_all(ps)
+        if not self._packable(ps):
+            return super()._distance_blocks(ps)
+        codes, lengths = self._pack(ps)
+        rows, row_lengths = (codes | (1 << 62))[:, None], lengths[:, None]
+        return lambda i0, i1, j0: _prefix_distance(
+            rows[i0:i1], row_lengths[i0:i1], codes[j0:], lengths[j0:], self._BITS
+        )
 
 
 @dataclass(frozen=True)
@@ -507,8 +557,8 @@ class FreeGroupSpace(_PrefixSpace):
     def neighbors(self, v: str) -> list[str]:
         return [word_multiply(v, m) for m in self.moves]
 
-    def _code(self, w: str) -> int:
-        return int("0" + w[::-1].translate(_OCTAL), 8)
+    def _symbols(self, ps):
+        return _LETTER_SYMBOLS[np.frombuffer("".join(ps).encode("ascii"), np.uint8)]
 
     def format_point(self, p) -> str:
         return p if p else "e"
@@ -534,7 +584,6 @@ class BinaryTreeSpace(_PrefixSpace):
     integer_metric = True
     _BITS = 1  # depth 62 keeps the codes below 2^62
     _PACK_LIMIT = 62
-    _code = staticmethod(tree_vertex_value)
 
     @property
     def basepoint(self) -> tuple[int, ...]:
@@ -550,6 +599,9 @@ class BinaryTreeSpace(_PrefixSpace):
     def _all_valid(self, ps) -> bool:
         flat = _integer_tuples(ps)
         return flat is not None and set(flat) <= {0, 1}
+
+    def _symbols(self, ps):
+        return np.fromiter(itertools.chain.from_iterable(ps), np.int64)
 
     def distance(self, p, q) -> int:
         p = self.validate(p)
@@ -625,10 +677,29 @@ def _parse_generators_lattice(text: str, rank: int) -> tuple[tuple[int, ...], ..
     return tuple(gens)
 
 
-def names_lattice(name: str) -> bool:
-    """Whether a ``space`` value names Z^k or N^k."""
-    low = name.strip().lower()
-    return low.startswith(("z^", "n^")) or low in ("z", "n")
+_MODEL_NAMES = {"f2": "free-group", "tree": "binary-tree", "t2": "binary-tree",
+                "binary-tree": "binary-tree", "cone": "cone"}
+
+
+def parse_space_name(name) -> tuple[str, int, bool]:
+    """The model a ``space`` value names, as (model, rank, signed); rank
+    and signed describe Z^k / N^k and read 0, True elsewhere.  Reads the
+    name only and builds nothing; raises ``ValueError`` for a name no
+    model has."""
+    low = str(name).strip().lower()
+    if not low:
+        raise ValueError("missing required field 'space'")
+    if low.startswith(("z^", "n^")) or low in ("z", "n"):
+        try:
+            rank = int(low[2:]) if "^" in low else 1
+        except ValueError:
+            rank = 0
+        if rank < 1:
+            raise ValueError(f"lattice rank must be a positive integer: {name!r}")
+        return "lattice", rank, low.startswith("z")
+    if low not in _MODEL_NAMES:
+        raise ValueError(f"unknown space model {name!r}")
+    return _MODEL_NAMES[low], 0, True
 
 
 def space_from_config(cfg: dict) -> Space:
@@ -639,27 +710,20 @@ def space_from_config(cfg: dict) -> Space:
     handles accept an optional ``generators`` entry; cone handles are
     delegated to :mod:`coarselab.cone` and use its grid keys.
     """
-    name = str(cfg.get("space", "")).strip()
-    if not name:
-        raise ValueError("missing required field 'space'")
+    model, rank, signed = parse_space_name(cfg.get("space", ""))
     cap = int(cfg.get("cap", DEFAULT_CAP))
-    low = name.lower()
-    if names_lattice(low):
-        rank = int(low[2:]) if "^" in low else 1
-        signed = low.startswith("z")
+    if model == "lattice":
         gens = None
         if "generators" in cfg:
             gens = _parse_generators_lattice(str(cfg["generators"]), rank)
         return LatticeSpace(rank=rank, signed=signed, generators=gens, cap=cap)
-    if low == "f2":
+    if model == "free-group":
         gens = ("a", "b")
         if "generators" in cfg:
             gens = tuple(w.strip() for w in str(cfg["generators"]).split(","))
         return FreeGroupSpace(generators=gens, cap=cap)
-    if low in ("tree", "t2", "binary-tree"):
+    if model == "binary-tree":
         return BinaryTreeSpace(cap=cap)
-    if low == "cone":
-        from . import cone
+    from . import cone
 
-        return cone.cone_space_from_config(cfg, cap=cap)
-    raise ValueError(f"unknown space model {name!r}")
+    return cone.cone_space_from_config(cfg, cap=cap)

@@ -287,6 +287,8 @@ _PROPER_TRANSLATION = (
     "experiment = verify-coarse\n{}\nradii = 1, 2, 3, 4\nsample_radius = 4\ndomain_radius = 8\n"
 )
 
+_ORBIT_ON = "experiment = orbit\nspace = {}\naction = translate\nby = 1\nhorizon = 4\n"
+
 # case -> (command, config text with {dir} for the test directory, raw
 # bytes, or None for a config file that does not exist; exit status,
 # manifest written?, text the command prints); the exit-0 rows are
@@ -354,6 +356,23 @@ FAILURE_CONFIGS = {
     "right-multiply-aba-proper-run": (
         "run", _PROPER_TRANSLATION.format("space = F2\naction = right-multiply\nby = aba"),
         0, True, "action: certified-at-scale",
+    ),
+    "unknown-space-validate": (
+        "validate", _ORBIT_ON.format("Q^2"), 2, False,
+        "diagnostic: unknown space model 'Q^2'",
+    ),
+    "lattice-rank-x-validate": (
+        "validate", _ORBIT_ON.format("Z^x"), 2, False,
+        "diagnostic: lattice rank must be a positive integer: 'Z^x'",
+    ),
+    "lattice-rank-0-validate": (
+        "validate", _ORBIT_ON.format("Z^0"), 2, False,
+        "diagnostic: lattice rank must be a positive integer: 'Z^0'",
+    ),
+    "repeated-radii-run": (
+        "run", "experiment = verify-coarse\nspace = F2\naction = right-multiply\nby = a\n"
+        "radii = 2, 2\nsample_radius = 3\n",
+        2, True, "error: radii must be distinct (radii = 2, 2)",
     ),
 }
 

@@ -1,23 +1,28 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarselab import coarse
 from coarselab.actions import lattice_translation, left_translation, right_translation
 from coarselab.coarse import (
     CERTIFIED,
     INCONCLUSIVE,
     REFUTED,
     ControlledSetSpec,
+    ScaleRow,
     _ball_entourage,
+    _masked_max,
     _translated_entourage,
     bornologous_profile,
     closeness_bound,
     higson_defect,
     properness_table,
 )
+from coarselab.cone import ConeGrid, ConeSpace, LambdaFunction, cycle_graph
 from coarselab.odometer import odometer_step
 from coarselab.spaces import (
     BinaryTreeSpace,
@@ -32,6 +37,7 @@ from coarselab.spaces import (
 Z1 = LatticeSpace(1)
 Z2 = LatticeSpace(2)
 N1 = LatticeSpace(1, signed=False)
+N2 = LatticeSpace(2, signed=False)
 F2 = FreeGroupSpace()
 T2 = BinaryTreeSpace()
 
@@ -118,9 +124,80 @@ def test_composition_profile_bound():
         assert row.value <= rep_g.value_at(s_f)
 
 
+def _profile_oracle(f, source, target, radii, sample_radius):
+    """S(R) from scalar distances over all ordered pairs of the sample
+    ball: the first row-major maximum, a radius with no pair reads 0."""
+    pts = source.closed_ball(source.basepoint, sample_radius)
+    images = [f(p) for p in pts]
+    pairs = [(source.distance(p, q), target.distance(fp, fq), p, q)
+             for p, fp in zip(pts, images) for q, fq in zip(pts, images)]
+    rows = []
+    for r in sorted(radii):
+        best = None
+        for d, value, p, q in pairs:
+            if d <= r and (best is None or value > best[0]):
+                best = (value, p, q)
+        if best is None:
+            rows.append(ScaleRow(float(r), 0.0))
+        else:
+            rows.append(ScaleRow(float(r), float(best[0]), source.format_point(best[1]),
+                                 source.format_point(best[2])))
+    return tuple(rows)
+
+
+F2_CUSTOM = FreeGroupSpace(generators=("ab", "b"))
+CONE = ConeSpace(ConeGrid.build(*cycle_graph(4), (0.0, 1.0, 2.0, 3.0)),
+                 LambdaFunction.linear())
+LONG = "ab" * 11  # left translates past the 20-letter packing limit
+# source, target, sample radius, translations of the source into the target
+_PROFILE_CASES = {
+    "F2": (F2, F2, 3, st.text("aAbB", max_size=3).map(reduce_word).map(right_translation)),
+    "T2": (T2, T2, 3, st.just(odometer_step)),
+    "Z2": (Z2, Z2, 3, st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lattice_translation)),
+    "N2": (N2, N2, 3, st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lattice_translation)),
+    "F2-custom": (F2_CUSTOM, F2_CUSTOM, 2, st.sampled_from(["ab", "B"]).map(right_translation)),
+    "F2-long": (F2, F2, 2, st.sampled_from([LONG, LONG + "A"]).map(left_translation)),
+    "T2-Z1": (T2, Z1, 3, st.just(lambda v: (len(v) - sum(v),))),
+    "cone": (CONE, CONE, 2, st.just(lambda p: p)),
+}
+
+
+@pytest.mark.parametrize("case", list(_PROFILE_CASES))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_profile_matches_brute_force_oracle(case, data):
+    source, target, sample_radius, translations = _PROFILE_CASES[case]
+    pts = source.closed_ball(source.basepoint, sample_radius)
+    f = data.draw(translations)
+    kind = data.draw(st.sampled_from(["translation", "constant", "lookup"]))
+    if kind == "constant":
+        f = lambda p: target.basepoint
+    elif kind == "lookup":  # a few images for many points: ties everywhere
+        pool = data.draw(st.lists(st.sampled_from([f(p) for p in pts]), min_size=1, max_size=3))
+        f = dict(zip(pts, data.draw(st.lists(
+            st.sampled_from(pool), min_size=len(pts), max_size=len(pts))))).__getitem__
+    radii = data.draw(st.lists(st.sampled_from([-1, -0.5, 0, 0.5, 1, 1.5, 2, 3.25, 4, 6]),
+                               min_size=1, max_size=4, unique=True))
+    # small blocks: many per sample, some of one row, some of many
+    with mock.patch.object(coarse, "BLOCK_PAIRS", data.draw(st.integers(1, 120))):
+        rep = bornologous_profile(f, source, target, radii, sample_radius)
+    assert rep.rows == _profile_oracle(f, source, target, radii, sample_radius)
+
+
+def test_masked_max_passes_over_an_unselected_fill():
+    # byte values are masked to 0 by a multiply; a selected 0 still wins
+    assert _masked_max(np.array([False, True]), np.array([0, 0], np.uint8)) == (0.0, 1)
+    assert _masked_max(np.array([False, False]), np.array([3, 0], np.uint8)) is None
+    assert _masked_max(np.array([[False], [True]]), np.array([[2.0], [0.0]])) == (0.0, 1)
+
+
 def test_profile_rejects_bad_input():
     with pytest.raises(ValueError):
         bornologous_profile(lambda p: p, Z1, Z1, [], 4)
+    with pytest.raises(ValueError, match="distinct"):
+        bornologous_profile(lambda p: p, Z1, Z1, [2, 1, 2], 4)
+    with pytest.raises(ValueError, match="distinct"):
+        properness_table(lambda p: p, Z1, Z1, [2.0, 2], 4)
     with pytest.raises(ValueError):
         bornologous_profile(lambda p: p, Z1, Z1, [1], -1)
 
@@ -161,7 +238,7 @@ def test_constant_map_is_refuted():
     assert rep.verdict == REFUTED
 
 
-_radii = st.lists(st.integers(1, 8), min_size=1, max_size=4)
+_radii = st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True)
 
 
 @settings(max_examples=60, deadline=None)

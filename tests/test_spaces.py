@@ -305,7 +305,7 @@ def test_prefix_kernel_matches_distance_property(space, symbols, limit, point, d
 
 @pytest.mark.parametrize("space", [Z1, Z2], ids=["Z1", "Z2"])
 def test_lattice_kernels_exact_beyond_int64(space):
-    coords = (0, 1, 2**62, -(2**62), 2**63, -(2**63) - 1)
+    coords = (0, 1, np.int64(-1), 2**62, -(2**62), 2**63, -(2**63) - 1)
     pts = list(itertools.product(coords, repeat=space.rank))
     mat = space.pairwise(pts, pts)
     vec = space.paired(pts, pts[::-1])
