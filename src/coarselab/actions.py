@@ -510,19 +510,19 @@ def detect_coarse_fixed_point_isometry(
         near = d_center_uniq <= domain.radius
     else:
         d_pts = space.closed_ball(center, domain.radius)
-        near = np.asarray(space.pairwise(uniq, d_pts), dtype=float).min(axis=1) < 1.0
+        near = space._near(uniq, d_pts, 1.0).any(axis=1)
     near_ids = np.flatnonzero(near)  # already in first-entry order
     k_points = [uniq[i] for i in near_ids]
 
-    # greedy 1-net of K in first-entry order; x0 enters first (time 0)
-    k_dist = np.asarray(space.pairwise(k_points, k_points), dtype=float)
+    # greedy 1-net of K in first-entry order; x0 enters first (time 0).
+    # Both K and the net read distances only against 1.
+    close = space._near(k_points, k_points, 1.0)
     center_ids: list[int] = []
     for i in range(len(k_points)):
-        if all(k_dist[i, j] >= 1.0 for j in center_ids):
+        if not close[i, center_ids].any():
             center_ids.append(i)
     centers = [k_points[i] for i in center_ids]
-    cover = k_dist[:, center_ids].min(axis=1)
-    if not (cover < 1.0).all():
+    if not close[:, center_ids].any(axis=1).all():
         raise AssertionError("greedy net failed to cover K")  # pragma: no cover
 
     returns_arr = np.array(return_times)
@@ -636,13 +636,11 @@ def boundary_moves_witness(prefix: str) -> tuple[str, int]:
     if not prefix or not is_reduced(prefix):
         raise ValueError(f"prefix must be a nonempty reduced word: {prefix!r}")
     head = prefix[0]
-    if head in ("a", "A") and all(c == head for c in prefix):
-        return "b", 0
     if head in ("b", "B"):
         return "a", 0
-    run = 0
-    while run < len(prefix) and prefix[run] == head:
-        run += 1
+    run = len(prefix) - len(prefix.lstrip(head))
+    if run == len(prefix):
+        return "b", 0
     return ("a", run) if head == "a" else ("a", run - 1)
 
 
@@ -653,13 +651,16 @@ def verify_boundary_witness(prefix: str, g: str, index: int) -> bool:
     Sound for every infinite extension because (i) both compared letters
     sit inside the finite reduced words, and (ii) g cancels only at the
     head, leaving the tail letter intact so extensions attach to g.prefix
-    exactly as they attach to the prefix.
+    exactly as they attach to the prefix.  Both hold only for reduced
+    words, so any other prefix or generator is rejected, never
+    multiplied.
     """
+    if not (prefix and is_reduced(prefix) and is_reduced(g) and isinstance(index, int)):
+        return False
     gw = word_multiply(g, prefix)
     return (
         0 <= index < len(prefix)
         and index < len(gw)
         and gw[index] != prefix[index]
-        and bool(gw)
         and gw[-1] == prefix[-1]
     )

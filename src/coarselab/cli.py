@@ -112,7 +112,10 @@ class ExperimentConfig:
         text = self.raw.get(key, default)
         if text is None:
             raise ConfigError(f"missing required list field {key!r}")
-        return _number_list(str(text))
+        try:
+            return _number_list(str(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"invalid numeric list for {key!r}: {exc}") from exc
 
     @property
     def seed(self) -> int:
@@ -387,6 +390,14 @@ _EXPERIMENTS = {
     "higson-defect": (_run_higson_defect, ("space", "function", "entourage_radius", "balls")),
 }
 
+# kind -> the numeric-list key its body reads, with the default, if any
+_LISTS = {
+    "verify-coarse": ("radii", _DEFAULT_RADII),
+    "odometer-density": ("epsilons", None),
+    "cone-diagnostic": ("heights", None),
+    "higson-defect": ("balls", None),
+}
+
 # a certifier's own re-check failed: the config was valid, the result is not
 _INTERNAL_CHECKS = (actions.IsometryViolation, AssertionError)
 
@@ -412,21 +423,28 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             model = parse_space_name(cfg.raw["space"])[0]
         except ValueError as exc:
             diags.append(str(exc))
-    if exp == "verify-coarse":
+    key, default = _LISTS.get(exp, (None, None))
+    values = None  # the kind's numeric list, once it parses
+    if key in cfg.raw or default is not None:
         try:
-            coarse._radii([float(r) for r in cfg.numbers("radii", _DEFAULT_RADII)])
-        except (ValueError, ZeroDivisionError) as exc:
+            values = cfg.numbers(key, default)
+        except ConfigError as exc:
+            diags.append(str(exc))
+    if exp == "verify-coarse" and values is not None:
+        try:
+            coarse._radii([float(r) for r in values])
+        except ValueError as exc:
             diags.append(f"{exc} (radii = {cfg.get('radii', _DEFAULT_RADII)})")
-    if exp == "odometer-density" and "precision" in cfg.raw and "epsilons" in cfg.raw:
+    if exp == "odometer-density" and "precision" in cfg.raw and values is not None:
         try:
             precision = int(cfg.number("precision"))
-            for eps in cfg.numbers("epsilons"):
+            for eps in values:
                 if odometer._precision_for(eps) >= precision:
                     diags.append(
                         f"insufficient precision: epsilon {eps} needs more than "
                         f"{precision} bits"
                     )
-        except (ConfigError, ValueError) as exc:
+        except ValueError as exc:
             diags.append(str(exc))
     if exp == "cone-diagnostic" and not ("base_cycle" in cfg.raw or "base_edges" in cfg.raw):
         diags.append("cone-diagnostic needs 'base_cycle' or 'base_edges'")

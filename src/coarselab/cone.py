@@ -284,11 +284,16 @@ class ConeSpace(Space):
     def _indices(self, ps) -> np.ndarray:
         return np.array([self._point_index[self.validate(p)] for p in ps], dtype=np.intp)
 
-    def _rows(self, idx) -> tuple[np.ndarray, np.ndarray]:
+    def _rows(self, idx, limit=np.inf) -> tuple[np.ndarray, np.ndarray]:
         """Distance rows of the distinct points among the point numbers
-        ``idx`` from one multi-source Dijkstra, and the row of each."""
+        ``idx`` from one multi-source Dijkstra, and the row of each.
+
+        With a finite ``limit`` the search stops there: every edge
+        weight is positive, so the distances up to the limit (equal
+        included) are the ones a full search gives, bit for bit, and
+        the rest read inf."""
         uniq, row_of = np.unique(idx, return_inverse=True)
-        return dijkstra(self._graph, indices=uniq), row_of
+        return dijkstra(self._graph, indices=uniq, limit=limit), row_of
 
     def distance(self, p, q) -> float:
         rows, _ = self._rows(self._indices([p]))
@@ -297,6 +302,11 @@ class ConeSpace(Space):
     def pairwise(self, ps, qs) -> np.ndarray:
         rows, row_of = self._rows(self._indices(ps))
         return rows[np.ix_(row_of, self._indices(qs))]
+
+    def _near(self, ps, qs, r) -> np.ndarray:
+        # scipy refuses a negative limit; below 0 every entry is False anyway
+        rows, row_of = self._rows(self._indices(ps), limit=max(r, 0.0))
+        return rows[np.ix_(row_of, self._indices(qs))] < r
 
     def _distance_blocks(self, ps):
         # every row up front, as pairwise(ps, ps) computes them
@@ -319,7 +329,7 @@ class ConeSpace(Space):
     def closed_ball(self, center, r) -> list:
         if r < 0:
             raise ValueError("radius must be >= 0")
-        rows, _ = self._rows(self._indices([center]))
+        rows, _ = self._rows(self._indices([center]), limit=r)
         hits = np.nonzero(rows[0] <= r)[0]
         self._check_cap(len(hits))
         return [self._points[i] for i in hits]

@@ -30,6 +30,7 @@ truncating silently.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,6 +50,8 @@ _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 _LETTER_SYMBOLS = np.zeros(128, dtype=np.int64)
 _LETTER_SYMBOLS[[ord(ch) for ch in LETTERS]] = [1, 2, 3, 4]
 _NO_LETTERS = str.maketrans("", "", LETTERS)
+# a foreign character or a cancelling pair: what makes a string unreduced
+_NOT_REDUCED = re.compile(r"[^aAbB]|aA|Aa|bB|Bb")
 
 
 class ModelMismatch(ValueError):
@@ -96,20 +99,24 @@ def word_inverse(w: str) -> str:
 
 
 def word_multiply(u: str, v: str) -> str:
-    """Product of two reduced words, reduced at the junction."""
-    stack = list(u)
-    for ch in v:
-        if stack and stack[-1] == _INVERSE[ch]:
-            stack.pop()
-        else:
-            stack.append(ch)
-    return "".join(stack)
+    """Product of two reduced words, reduced at the junction.
+
+    Both factors must be reduced (every library caller passes validated
+    words): only letters meeting at the junction cancel, so the product
+    of reduced words is reduced, and an unreduced factor stays
+    unreduced in it.
+    """
+    if not u or not v or v[0] != _INVERSE.get(u[-1]):
+        return u + v
+    k, n = 1, min(len(u), len(v))
+    while k < n and v[k] == _INVERSE.get(u[-1 - k]):
+        k += 1
+    return u[: len(u) - k] + v[k:]
 
 
-def is_reduced(w: str) -> bool:
-    return all(ch in _INVERSE for ch in w) and all(
-        w[i + 1] != _INVERSE[w[i]] for i in range(len(w) - 1)
-    )
+def is_reduced(w) -> bool:
+    """True for a string over ``aAbB`` with no cancelling pair."""
+    return isinstance(w, str) and _NOT_REDUCED.search(w) is None
 
 
 def enumerate_reduced_words(length: int) -> Iterator[str]:
@@ -218,6 +225,12 @@ class Space:
             for j, q in enumerate(qs):
                 out[i, j] = self.distance(p, q)
         return out
+
+    def _near(self, ps: Sequence, qs: Sequence, r) -> np.ndarray:
+        """Boolean matrix of d(p, q) < r, for callers that only compare
+        distances with the threshold ``r``; a model may compute it
+        without the distances beyond ``r``."""
+        return self.pairwise(ps, qs) < r
 
     def paired(self, ps: Sequence, qs: Sequence) -> np.ndarray:
         """Elementwise distances of two equal-length point sequences."""
@@ -528,7 +541,7 @@ class FreeGroupSpace(_PrefixSpace):
         return tuple(sorted(sym))
 
     def validate(self, p):
-        if not isinstance(p, str) or not is_reduced(p):
+        if not is_reduced(p):
             raise ModelMismatch(f"expected a reduced word over {LETTERS!r}: {p!r}")
         return p
 

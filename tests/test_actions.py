@@ -324,6 +324,19 @@ def test_boundary_witness_rejects_bad_prefixes():
         boundary_moves_witness("aA")
 
 
+@pytest.mark.parametrize("prefix, g, index", [
+    ("aA", "b", 0),  # unreduced: b . aA keeps the tail letter and moves index 0
+    ("Aa", "a", 0),
+    ("", "a", 0),
+    (("a", "b"), "b", 0),
+    ("ab", "x", 0),
+    ("ab", "aA", 0),
+    ("ab", "b", 0.0),
+])
+def test_verify_boundary_witness_rejects_bad_input(prefix, g, index):
+    assert verify_boundary_witness(prefix, g, index) is False
+
+
 def test_boundary_witness_exhaustive_short_prefixes():
     # lengths 1..9 here; the acceptance sweep covers the 4 * 3^9 length-10 set
     for n in range(1, 10):

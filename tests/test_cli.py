@@ -289,6 +289,11 @@ _PROPER_TRANSLATION = (
 
 _ORBIT_ON = "experiment = orbit\nspace = {}\naction = translate\nby = 1\nhorizon = 4\n"
 
+_BALLS_1_0 = (
+    "experiment = higson-defect\nspace = Z^1\nfunction = sin-log\n"
+    "entourage_radius = 1\nballs = 2, 1/0\n"
+)
+
 # case -> (command, config text with {dir} for the test directory, raw
 # bytes, or None for a config file that does not exist; exit status,
 # manifest written?, text the command prints); the exit-0 rows are
@@ -374,6 +379,27 @@ FAILURE_CONFIGS = {
         "radii = 2, 2\nsample_radius = 3\n",
         2, True, "error: radii must be distinct (radii = 2, 2)",
     ),
+    "balls-1-0-validate": (
+        "validate", _BALLS_1_0, 2, False,
+        "diagnostic: invalid numeric list for 'balls': Fraction(1, 0)",
+    ),
+    "balls-1-0-run": (
+        "run", _BALLS_1_0, 2, True, "error: invalid numeric list for 'balls': Fraction(1, 0)",
+    ),
+    "heights-not-a-number-validate": (
+        "validate",
+        "experiment = cone-diagnostic\nbase_cycle = 8\nentourage_radius = 1\nheights = 2, x\n",
+        2, False, "diagnostic: invalid numeric list for 'heights'",
+    ),
+    "epsilons-1-0-run": (
+        "run", "experiment = odometer-density\nprecision = 8\nepsilons = 1/0\n",
+        2, True, "error: invalid numeric list for 'epsilons': Fraction(1, 0)",
+    ),
+    "radii-1-0-validate": (
+        "validate",
+        "experiment = verify-coarse\nspace = Z^1\naction = translate\nby = 1\nradii = 1/0\n",
+        2, False, "diagnostic: invalid numeric list for 'radii': Fraction(1, 0)",
+    ),
 }
 
 
@@ -436,6 +462,17 @@ def test_experiment_docs_cover_every_kind():
         assert kind in sections, f"docs/experiments.md has no '## {kind}' section"
         for key in required:
             assert f"`{key}`" in sections[kind], f"'## {kind}' does not name {key!r}"
+
+
+def test_docs_recipes_validate(tmp_path):
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "experiments.md").read_text()
+    recipes = doc.split("\n## Recipes\n", 1)[1].split("\n## ", 1)[0]
+    blocks = recipes.split("```")[1::2]
+    assert blocks
+    for i, text in enumerate(blocks):
+        path = tmp_path / f"recipe{i}.cfg"
+        path.write_text(text)
+        assert validate(load_config(path)) == [], text
 
 
 def test_build_action_rotate_needs_base_cycle():

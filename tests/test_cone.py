@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarselab.cone import (
     APEX,
@@ -252,6 +254,45 @@ def test_distance_paths_agree_past_one_paired_batch():
     for c in rng.sample(range(len(pts)), 20):
         r = rng.uniform(0, 40)
         assert sp.closed_ball(pts[c], r) == [q for q, d in zip(pts, rows[c]) if d <= r]
+
+
+def _chorded_hexagon_space(lam: LambdaFunction) -> ConeSpace:
+    nodes, edges = cycle_graph(6)
+    grid = ConeGrid.build(nodes, edges + (("0", "3", 2.5),), geometric_heights(8, extra=[3.0]))
+    return ConeSpace(grid, lam)
+
+
+_THRESHOLD_SPACES = {
+    lam.tag: _chorded_hexagon_space(lam)
+    for lam in (LINEAR, LambdaFunction.sqrt(),
+                LambdaFunction.from_table([(0, 0), (1, 0.5), (3, 4), (10, 5)]))
+}
+
+
+def _boundary_radius(data, distances: np.ndarray) -> float:
+    """A realised distance, or the float just below or just above it."""
+    d = float(data.draw(st.sampled_from(distances.ravel())))
+    return float(data.draw(st.sampled_from(
+        [np.nextafter(d, -np.inf), d, np.nextafter(d, np.inf)])))
+
+
+@pytest.mark.parametrize("tag", list(_THRESHOLD_SPACES))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_threshold_searches_match_full_distances(tag, data):
+    # _near and closed_ball stop Dijkstra at the radius, so test radii
+    # on that boundary
+    sp = _THRESHOLD_SPACES[tag]
+    pts = sp.grid.grid_points()
+    points = st.lists(st.sampled_from(pts), min_size=1, max_size=6)
+    ps, qs = data.draw(points), data.draw(points)
+    full = sp.pairwise(ps, qs)
+    r = _boundary_radius(data, full)  # may be just below 0
+    assert (sp._near(ps, qs, r) == (full < r)).all()
+    c = data.draw(st.sampled_from(pts))
+    row = sp.pairwise([c], pts)[0]
+    r = max(_boundary_radius(data, row), 0.0)
+    assert sp.closed_ball(c, r) == [q for q, d in zip(pts, row) if d <= r]
 
 
 # ---------------------------------------------------------------------------

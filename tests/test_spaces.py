@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarselab.spaces import (
@@ -86,6 +86,38 @@ def test_word_inverse_cancels(word):
 def test_word_multiply_associative(u, v, w):
     u, v, w = reduce_word(u), reduce_word(v), reduce_word(w)
     assert word_multiply(word_multiply(u, v), w) == word_multiply(u, word_multiply(v, w))
+
+
+@given(raw_words, raw_words, st.integers(0, 24))
+@example("", "", 0)
+@example("ab", "", 0)
+@example("", "Ba", 0)
+@example("abA", "aBA", 0)  # full cancellation
+@example("abA", "aBAb", 0)
+@example("ab", "Ba", 0)
+@settings(max_examples=300)
+def test_word_multiply_matches_full_reduction(u, v, k):
+    # v opens with the inverse of u's last k letters (all of u once k >= |u|)
+    u = reduce_word(u)
+    v = reduce_word(word_inverse(u[max(len(u) - k, 0):]) + v)
+    assert word_multiply(u, v) == reduce_word(u + v)
+
+
+def _is_reduced_oracle(w: str) -> bool:
+    inv = {"a": "A", "A": "a", "b": "B", "B": "b"}
+    return all(ch in inv for ch in w) and all(inv[x] != y for x, y in zip(w, w[1:]))
+
+
+@given(st.text(alphabet="aAbBx\n", max_size=12))
+@settings(max_examples=300)
+def test_is_reduced_matches_letter_oracle(w):
+    assert is_reduced(w) == _is_reduced_oracle(w)
+
+
+def test_is_reduced_rejects_non_strings():
+    assert not is_reduced(("a", "b"))
+    assert not is_reduced(None)
+    assert not is_reduced(["a"])
 
 
 def test_enumerate_reduced_words_counts():
