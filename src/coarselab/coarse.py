@@ -169,13 +169,21 @@ def _sample_radius(space: Space, sample_radius):
 
 
 def _radii(radii) -> list:
-    """Sorted radii; an empty or repeated list is an error."""
+    """Sorted radii; an empty, non-finite or repeated list is an error."""
     radii = sorted(radii)
     if not radii:
         raise ValueError("radii must be non-empty")
+    if not all(map(math.isfinite, radii)):
+        raise ValueError("radii must be finite")
     if len(set(radii)) < len(radii):
         raise ValueError("radii must be distinct")
     return radii
+
+
+def _bound(r, d: np.ndarray):
+    """The radius ``r`` as a bound on distances ``d``: an integer array
+    compares with floor(r) in its own dtype."""
+    return math.floor(r) if d.dtype.kind in "iu" else r
 
 
 def _fit_affine(radii: np.ndarray, values: np.ndarray) -> tuple[float, float]:
@@ -209,28 +217,50 @@ def bornologous_profile(
     radii = _radii(DEFAULT_RADII if radii is None else radii)
     pts = source.closed_ball(source.basepoint, _sample_radius(source, sample_radius))
     images = [f(p) for p in pts]
-    src, tgt = source._distance_blocks(pts), target._distance_blocks(images)
+    src, tgt = source._distances_at(pts), target._distances_at(images)
 
-    # A metric table is symmetric, so its first row-major maximum lies on
-    # or above the diagonal, and rows i0:i1 need only columns i0: .  Float
-    # (cone) distances need not be exactly symmetric and keep full rows.
+    # Only pairs in E_R for the largest R can count, so each block of
+    # source distances keeps those and the target measures only them, a
+    # batch at a time.  A metric table is symmetric, so its first
+    # row-major maximum lies on or above the diagonal, and rows i0:i1
+    # need only columns i0: .  Float (cone) distances need not be
+    # exactly symmetric and keep full rows.
     upper = source.integer_metric and target.integer_metric
     n = len(pts)
     best = {r: (-math.inf, None, None) for r in radii}
+    batch = []  # (rows, columns, source distances) of selected pairs, row-major
+
+    def reduce_batch():
+        i, j, dsrc = (np.concatenate(a) for a in zip(*batch))
+        batch.clear()
+        dtgt = tgt(i, j)
+        if dtgt.dtype != np.uint8:
+            dtgt = dtgt.astype(float)  # other kernels' distances compare as floats
+        for r in radii:
+            hit = _masked_max(dsrc <= _bound(r, dsrc), dtgt)
+            if hit is not None and hit[0] > best[r][0]:
+                best[r] = (hit[0], pts[i[hit[1]]], pts[j[hit[1]]])
+
+    selected = 0
     i0 = 0
     while i0 < n:
         j0 = i0 if upper else 0
         i1 = min(n, i0 + max(1, BLOCK_PAIRS // (n - j0)))
-        dsrc, dtgt = src(i0, i1, j0), tgt(i0, i1, j0)
-        if dtgt.dtype != np.uint8:
-            dtgt = dtgt.astype(float)  # other kernels' distances compare as floats
-        for r in radii:
-            # an integer block compares with floor(R) in its own dtype
-            hit = _masked_max(dsrc <= (math.floor(r) if dsrc.dtype.kind in "iu" else r), dtgt)
-            if hit is not None and hit[0] > best[r][0]:
-                i, j = divmod(hit[1], n - j0)
-                best[r] = (hit[0], pts[i0 + i], pts[j0 + j])
+        d = src(np.arange(i0, i1)[:, None], np.arange(j0, n))
+        i, j = np.divmod(np.flatnonzero(d <= _bound(radii[-1], d)), n - j0)
+        i += i0
+        j += j0
+        if upper:  # the block's rows past i0 reach a little below the diagonal
+            i, j = i[j >= i], j[j >= i]
+        if len(i):
+            batch.append((i, j, d[i - i0, j - j0]))
+            selected += len(i)
+        if selected >= BLOCK_PAIRS:
+            reduce_batch()
+            selected = 0
         i0 = i1
+    if batch:
+        reduce_batch()
 
     rows = []
     for r in radii:

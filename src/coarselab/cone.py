@@ -308,11 +308,11 @@ class ConeSpace(Space):
         rows, row_of = self._rows(self._indices(ps), limit=max(r, 0.0))
         return rows[np.ix_(row_of, self._indices(qs))] < r
 
-    def _distance_blocks(self, ps):
+    def _distances_at(self, ps):
         # every row up front, as pairwise(ps, ps) computes them
         idx = self._indices(ps)
         rows, row_of = self._rows(idx)
-        return lambda i0, i1, j0: rows[np.ix_(row_of[i0:i1], idx[j0:])]
+        return lambda i, j: rows[row_of[i], idx[j]]
 
     def paired(self, ps, qs) -> np.ndarray:
         if len(ps) != len(qs):

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .coarse import rows_to_csv
-from .spaces import BinaryTreeSpace
+from .spaces import BLOCK_PAIRS, BinaryTreeSpace
 
 _TREE = BinaryTreeSpace()
 
@@ -148,21 +148,29 @@ def gromov_product_table(vertices: Sequence[tuple[int, ...]]) -> np.ndarray:
     Bulk companion of :func:`gromov_product` for exhaustive sweeps;
     deliberately computed by comparing bits, not by the distance formula.
     A running mask marks the pairs that agree at every position so far,
-    and each position adds it to the table.  A position past a vertex's
+    and each position adds it to a count.  A position past a vertex's
     depth reads -1 on the left and 2 on the right, so it matches nothing
-    and the mask stops at the shorter depth.
+    and the mask stops at the shorter depth.  Rows go in blocks of about
+    ``BLOCK_PAIRS`` pairs, counted in the smallest dtype that holds the
+    depth and written once into the int64 table.
     """
     vertices = [_TREE.validate(v) for v in vertices]
+    n = len(vertices)
     depth = max((len(v) for v in vertices), default=0)
-    left = np.full((len(vertices), depth), -1, dtype=np.int8)
+    left = np.full((n, depth), -1, dtype=np.int8)
     for i, v in enumerate(vertices):
         left[i, :len(v)] = v
     right = np.where(left < 0, 2, left)
-    out = np.zeros((len(vertices), len(vertices)), dtype=np.int64)
-    agree = np.ones(out.shape, dtype=bool)
-    for a, b in zip(left.T, right.T):
-        agree &= a[:, None] == b[None, :]
-        out += agree
+    out = np.empty((n, n), dtype=np.int64)
+    chunk = max(1, BLOCK_PAIRS // max(n, 1))
+    for i0 in range(0, n, chunk):
+        block = left[i0:i0 + chunk]
+        agree = np.ones((len(block), n), dtype=bool)
+        count = np.zeros(agree.shape, dtype=np.min_scalar_type(depth))
+        for a, b in zip(block.T, right.T):
+            agree &= a[:, None] == b
+            count += agree
+        out[i0:i0 + chunk] = count
     return out
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import add
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -238,12 +238,19 @@ class Space:
             raise ValueError("paired distance needs equal-length sequences")
         return np.array([self.distance(p, q) for p, q in zip(ps, qs)], dtype=float)
 
-    def _distance_blocks(self, ps: Sequence) -> Callable[[int, int, int], np.ndarray]:
-        """``block(i0, i1, j0)``, the distances from ``ps[i0:i1]`` to
-        ``ps[j0:]``.  Models with a private kernel override this to
-        validate and pack ``ps`` once; this fallback asks ``pairwise``
-        block by block."""
-        return lambda i0, i1, j0: self.pairwise(ps[i0:i1], ps[j0:])
+    def _distances_at(self, ps: Sequence) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """``dist(i, j)``, the distances from ``ps[i]`` to ``ps[j]`` for
+        broadcasting index arrays ``i`` and ``j``.  ``ps`` is validated
+        here, once.  Models with a private kernel override this to pack
+        ``ps`` once too; this fallback asks ``paired``."""
+        self._validate_all(ps)
+
+        def dist(i, j):
+            i, j = np.broadcast_arrays(i, j)
+            d = self.paired([ps[k] for k in i.flat], [ps[k] for k in j.flat])
+            return d.reshape(i.shape)
+
+        return dist
 
     def _validate_all(self, *seqs):
         """Raise ``validate``'s ``ModelMismatch`` for the first point it
@@ -384,14 +391,14 @@ class LatticeSpace(Space):
         self._validate_all(ps, qs)
         if not self.standard:
             return super().pairwise(ps, qs)
-        return _l1_matrix(self._coords(ps), self._coords(qs))
+        return _l1(self._coords(ps)[:, None], self._coords(qs))
 
-    def _distance_blocks(self, ps):
+    def _distances_at(self, ps):
         if not self.standard:
-            return super()._distance_blocks(ps)
+            return super()._distances_at(ps)
         self._validate_all(ps)
         a = self._coords(ps)
-        return lambda i0, i1, j0: _l1_matrix(a[i0:i1], a[j0:])
+        return lambda i, j: _l1(a[i], a[j])
 
     def paired(self, ps, qs) -> np.ndarray:
         if len(ps) != len(qs):
@@ -399,15 +406,15 @@ class LatticeSpace(Space):
         self._validate_all(ps, qs)
         if not self.standard:
             return super().paired(ps, qs)
-        return np.abs(self._coords(ps) - self._coords(qs)).sum(axis=-1)
+        return _l1(self._coords(ps), self._coords(qs))
 
     def format_point(self, p) -> str:
         return "(" + ",".join(str(c) for c in p) + ")"
 
 
-def _l1_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """l1 distances between the rows of two coordinate arrays."""
-    return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=-1)
+def _l1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """l1 distances between the rows of two coordinate arrays, broadcast."""
+    return np.abs(a - b).sum(axis=-1)
 
 
 def _prefix_lcp(x: np.ndarray, la, lb, bits: int) -> np.ndarray:
@@ -492,15 +499,15 @@ class _PrefixSpace(Space):
         (ca, la), (cb, lb) = self._pack(ps), self._pack(qs)
         return _prefix_distance(ca | (1 << 62), la, cb, lb, self._BITS).astype(np.int64)
 
-    def _distance_blocks(self, ps):
-        """uint8 blocks of the prefix kernel over ``ps``, packed once."""
+    def _distances_at(self, ps):
+        """uint8 distances of the prefix kernel over ``ps``, packed once."""
         self._validate_all(ps)
         if not self._packable(ps):
-            return super()._distance_blocks(ps)
+            return super()._distances_at(ps)
         codes, lengths = self._pack(ps)
-        rows, row_lengths = (codes | (1 << 62))[:, None], lengths[:, None]
-        return lambda i0, i1, j0: _prefix_distance(
-            rows[i0:i1], row_lengths[i0:i1], codes[j0:], lengths[j0:], self._BITS
+        marked = codes | (1 << 62)
+        return lambda i, j: _prefix_distance(
+            marked[i], lengths[i], codes[j], lengths[j], self._BITS
         )
 
 
@@ -645,20 +652,10 @@ def word_metric_bfs_oracle(space: Space, r) -> dict:
     (lattice, free group, binary tree).
     """
     radius = _as_int_radius(r)
-    if isinstance(space, LatticeSpace):
-        ambient = LatticeSpace(space.rank, True, space.generators, space.cap)
-        step = lambda v: (
-            tuple(a + b for a, b in zip(v, m)) for m in ambient.moves
-        )
-        keep = (lambda v: all(c >= 0 for c in v)) if not space.signed else (lambda v: True)
-    elif isinstance(space, FreeGroupSpace):
-        step = lambda v: (word_multiply(v, m) for m in space.moves)
-        keep = lambda v: True
-    elif isinstance(space, BinaryTreeSpace):
-        step = space.neighbors
-        keep = lambda v: True
-    else:
+    if not isinstance(space, (LatticeSpace, FreeGroupSpace, BinaryTreeSpace)):
         raise ValueError(f"BFS oracle is not defined for model {space.model!r}")
+    # N^k steps through the ambient Z^k and keeps its own points at the end
+    ambient = replace(space, signed=True) if isinstance(space, LatticeSpace) else space
 
     base = space.basepoint
     seen = {base: 0}
@@ -667,13 +664,13 @@ def word_metric_bfs_oracle(space: Space, r) -> dict:
         v = queue.popleft()
         if seen[v] == radius:
             continue
-        for w in step(v):
+        for w in ambient.neighbors(v):
             if w not in seen:
                 if len(seen) + 1 > space.cap:
                     raise CapExceeded(f"BFS oracle exceeded cap of {space.cap}")
                 seen[w] = seen[v] + 1
                 queue.append(w)
-    return {v: d for v, d in seen.items() if keep(v)}
+    return {v: seen[v] for v in space._restrict(seen)}
 
 
 # ---------------------------------------------------------------------------

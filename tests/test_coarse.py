@@ -176,12 +176,46 @@ def test_profile_matches_brute_force_oracle(case, data):
         pool = data.draw(st.lists(st.sampled_from([f(p) for p in pts]), min_size=1, max_size=3))
         f = dict(zip(pts, data.draw(st.lists(
             st.sampled_from(pool), min_size=len(pts), max_size=len(pts))))).__getitem__
-    radii = data.draw(st.lists(st.sampled_from([-1, -0.5, 0, 0.5, 1, 1.5, 2, 3.25, 4, 6]),
-                               min_size=1, max_size=4, unique=True))
-    # small blocks: many per sample, some of one row, some of many
+    # up to twice the sample diameter (6): some draws select every pair
+    radii = data.draw(st.lists(
+        st.sampled_from([-1, -0.5, 0, 0.5, 1, 1.5, 2, 3.25, 4, 6, 7.5, 12]),
+        min_size=1, max_size=4, unique=True))
+    # small blocks and batches: many per sample, some of one row, some of many
     with mock.patch.object(coarse, "BLOCK_PAIRS", data.draw(st.integers(1, 120))):
         rep = bornologous_profile(f, source, target, radii, sample_radius)
     assert rep.rows == _profile_oracle(f, source, target, radii, sample_radius)
+
+
+def test_profile_measures_the_target_only_on_the_largest_entourage():
+    # criterion 4's sample: E_6 holds 57,591 of the 1,062,153 pairs on or
+    # above the diagonal of the radius-6 F2 ball
+    f, radii = right_translation("ab"), [1, 2, 3, 4, 5, 6]
+    pts = F2.closed_ball("", 6)
+    images = [f(p) for p in pts]
+    d_src, d_tgt = F2.pairwise(pts, pts), F2.pairwise(images, images)
+    near = np.triu(d_src <= 6)
+    assert (len(pts) * (len(pts) + 1) // 2, near.sum()) == (1_062_153, 57_591)
+
+    calls = {}  # the index arrays each distance function was asked for, by its points
+    measure = FreeGroupSpace._distances_at
+
+    def spy(space, ps):
+        dist, log = measure(space, ps), calls.setdefault(tuple(ps), [])
+
+        def logged(i, j):
+            log.append(np.broadcast_arrays(i, j))
+            return dist(i, j)
+        return logged
+
+    with mock.patch.object(FreeGroupSpace, "_distances_at", spy):
+        rep = bornologous_profile(f, F2, F2, radii, 6)
+    batches = calls[tuple(images)]
+    i, j = (np.concatenate([b[k] for b in batches]) for k in (0, 1))
+    # exactly the selected pairs, in row-major order, a few large batches
+    assert (i.tolist(), j.tolist()) == tuple(a.tolist() for a in np.nonzero(near))
+    assert all(len(b[0]) >= coarse.BLOCK_PAIRS for b in batches[:-1])
+    assert len(batches) == -(-57_591 // coarse.BLOCK_PAIRS)
+    assert [row.value for row in rep.rows] == [d_tgt[d_src <= r].max() for r in radii]
 
 
 def test_masked_max_passes_over_an_unselected_fill():
@@ -200,6 +234,12 @@ def test_profile_rejects_bad_input():
         properness_table(lambda p: p, Z1, Z1, [2.0, 2], 4)
     with pytest.raises(ValueError):
         bornologous_profile(lambda p: p, Z1, Z1, [1], -1)
+    # NaN differs from itself, so no "distinct" test catches it
+    for radii in ([math.nan], [math.nan, math.nan], [1, math.inf], [-math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            bornologous_profile(lambda p: p, Z1, Z1, radii, 4)
+        with pytest.raises(ValueError, match="finite"):
+            properness_table(lambda p: p, Z1, Z1, radii, 8)
 
 
 # ---------------------------------------------------------------------------

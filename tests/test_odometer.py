@@ -1,11 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarselab import odometer
 from coarselab.odometer import (
     BoundaryWord,
     boundary_distance,
@@ -159,13 +162,17 @@ def test_gromov_product_table_matches_scalar():
         [()],
         # unequal depths: shorter vertices are prefixes of longer ones
         [(0, 1, 1, 0, 1), (), (0, 1), (1,), (0, 1, 1), (0, 1, 1, 0, 1, 1, 1), (1, 0)],
+        # common prefixes longer than a byte counts
+        [(1,) * 300, (1,) * 299 + (0,), (1,) * 257],
     ]
-    for pts in cases:
-        table = gromov_product_table(pts)
-        assert table.shape == (len(pts), len(pts))
-        for i, p in enumerate(pts):
-            for j, q in enumerate(pts):
-                assert table[i, j] == gromov_product(p, q).value
+    expected = [[[gromov_product(p, q).value for q in pts] for p in pts] for pts in cases]
+    # 127 vertices in blocks of 1, 3 and 7 rows (the last one ragged) or one
+    for block in (1, 127 * 3, 1000, odometer.BLOCK_PAIRS):
+        with mock.patch.object(odometer, "BLOCK_PAIRS", block):
+            tables = [gromov_product_table(pts) for pts in cases]
+        for pts, table, values in zip(cases, tables, expected):
+            assert table.shape == (len(pts), len(pts)) and table.dtype == np.int64
+            assert table.tolist() == values
 
 
 def test_boundary_distance_examples():
