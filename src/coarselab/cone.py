@@ -24,12 +24,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra, shortest_path
 
 from .coarse import rows_to_csv
-from .spaces import DEFAULT_CAP, ModelMismatch, Space
+from .spaces import DEFAULT_CAP, ModelMismatch, Space, _check_radius
 
 APEX = "*"
 
-# distinct sources per ConeSpace.paired Dijkstra call: bounds the
-# distance rows held in memory at once
+# distinct sources per Dijkstra call of the ConeSpace._distances_at
+# kernel: bounds the distance rows held in memory at once
 _PAIRED_ROWS = 128
 
 
@@ -299,36 +299,30 @@ class ConeSpace(Space):
         rows, _ = self._rows(self._indices([p]))
         return float(rows[0, self._indices([q])[0]])
 
-    def pairwise(self, ps, qs) -> np.ndarray:
-        rows, row_of = self._rows(self._indices(ps))
-        return rows[np.ix_(row_of, self._indices(qs))]
-
     def _near(self, ps, qs, r) -> np.ndarray:
         # scipy refuses a negative limit; below 0 every entry is False anyway
         rows, row_of = self._rows(self._indices(ps), limit=max(r, 0.0))
         return rows[np.ix_(row_of, self._indices(qs))] < r
 
     def _distances_at(self, ps):
-        # every row up front, as pairwise(ps, ps) computes them
+        # rows only for the distinct sources each call asks for, a
+        # Dijkstra call per _PAIRED_ROWS of them
         idx = self._indices(ps)
-        rows, row_of = self._rows(idx)
-        return lambda i, j: rows[row_of[i], idx[j]]
 
-    def paired(self, ps, qs) -> np.ndarray:
-        if len(ps) != len(qs):
-            raise ValueError("paired distance needs equal-length sequences")
-        uniq, row_of = np.unique(self._indices(ps), return_inverse=True)
-        dst = self._indices(qs)
-        out = np.empty(len(ps))
-        for lo in range(0, len(uniq), _PAIRED_ROWS):
-            hit = (row_of >= lo) & (row_of < lo + _PAIRED_ROWS)
-            rows = dijkstra(self._graph, indices=uniq[lo:lo + _PAIRED_ROWS])
-            out[hit] = rows[row_of[hit] - lo, dst[hit]]
-        return out
+        def dist(i, j):
+            src, dst = np.broadcast_arrays(idx[i], idx[j])
+            uniq, row_of = np.unique(src.ravel(), return_inverse=True)
+            dst, out = dst.ravel(), np.empty(src.size)
+            for lo in range(0, len(uniq), _PAIRED_ROWS):
+                hit = (row_of >= lo) & (row_of < lo + _PAIRED_ROWS)
+                rows = dijkstra(self._graph, indices=uniq[lo:lo + _PAIRED_ROWS])
+                out[hit] = rows[row_of[hit] - lo, dst[hit]]
+            return out.reshape(src.shape)
+
+        return dist
 
     def closed_ball(self, center, r) -> list:
-        if r < 0:
-            raise ValueError("radius must be >= 0")
+        _check_radius(r)
         rows, _ = self._rows(self._indices([center]), limit=r)
         hits = np.nonzero(rows[0] <= r)[0]
         self._check_cap(len(hits))

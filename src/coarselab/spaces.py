@@ -17,9 +17,12 @@ Four models are provided:
 * ``ConeSpace`` -- lives in :mod:`coarselab.cone`; distance there is the
   grid upper-bound approximation.
 
-The lattice, free-group and tree models give ``neighbors(v)``, which
-drives all of their ball enumeration and breadth-first word lengths.
-The free group and the tree share one packed prefix-distance kernel.
+Each model gives one distance kernel, ``_distances_at(ps)``, which
+returns ``dist(i, j)`` over the points ``ps``; ``Space`` derives
+``pairwise`` and ``paired`` from it.  The free group and the tree share
+one packed prefix-distance kernel.  The lattice, free-group and tree
+models give ``neighbors(v)``, which drives all of their ball enumeration
+and breadth-first word lengths.
 
 All lattice / word / tree distances are exact integers; no floating
 point enters these models.  Ball enumeration is capped (default 10^6
@@ -30,6 +33,7 @@ truncating silently.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from collections import deque
 from dataclasses import dataclass, replace
@@ -70,6 +74,8 @@ class BallSpec:
     radius: float
 
     def __post_init__(self):
+        if not math.isfinite(self.radius):
+            raise ValueError("radius must be finite")
         if self.radius < 0:
             raise ValueError("ball radius must be >= 0")
 
@@ -144,10 +150,10 @@ class Space:
     """Common surface of the space handles.
 
     Subclasses provide ``model``, ``integer_metric``, ``basepoint``,
-    ``validate``, ``distance`` and vectorized ``pairwise`` / ``paired``
-    distance evaluation.  Graph models provide ``neighbors``, from which
-    ``closed_ball`` and ``_word_length`` are derived; other models
-    override ``closed_ball``.
+    ``validate``, ``distance`` and may give a vectorized distance kernel,
+    ``_distances_at``, from which ``pairwise`` and ``paired`` are derived.
+    Graph models provide ``neighbors``, from which ``closed_ball`` and
+    ``_word_length`` are derived; other models override ``closed_ball``.
     """
 
     model: str = "abstract"
@@ -217,13 +223,19 @@ class Space:
     def format_point(self, p) -> str:
         raise NotImplementedError
 
-    # vectorized fallbacks; concrete models override with numpy paths
     def pairwise(self, ps: Sequence, qs: Sequence) -> np.ndarray:
-        """Full distance matrix between two point sequences."""
-        out = np.empty((len(ps), len(qs)))
-        for i, p in enumerate(ps):
-            for j, q in enumerate(qs):
-                out[i, j] = self.distance(p, q)
+        """Full distance matrix between two point sequences: the kernel
+        over ``[*ps, *qs]``, ``BLOCK_PAIRS // len(qs)`` rows at a time,
+        each written once into the result; byte distances widen to int64."""
+        n, m = len(ps), len(qs)
+        dist = self._distances_at([*ps, *qs])
+        chunk = max(1, BLOCK_PAIRS // max(m, 1))
+        out = None
+        for i0 in range(0, max(n, 1), chunk):  # an empty ps still gives the dtype
+            d = dist(np.arange(i0, min(n, i0 + chunk))[:, None], slice(n, n + m))
+            if out is None:
+                out = np.empty((n, m), np.int64 if d.dtype == np.uint8 else d.dtype)
+            out[i0:i0 + chunk] = d
         return out
 
     def _near(self, ps: Sequence, qs: Sequence, r) -> np.ndarray:
@@ -236,30 +248,32 @@ class Space:
         """Elementwise distances of two equal-length point sequences."""
         if len(ps) != len(qs):
             raise ValueError("paired distance needs equal-length sequences")
-        return np.array([self.distance(p, q) for p, q in zip(ps, qs)], dtype=float)
+        n = len(ps)
+        d = self._distances_at([*ps, *qs])(np.arange(n), n + np.arange(n))
+        return d.astype(np.int64) if d.dtype == np.uint8 else d
 
-    def _distances_at(self, ps: Sequence) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    def _distances_at(self, ps: Sequence) -> Callable[[Any, Any], np.ndarray]:
         """``dist(i, j)``, the distances from ``ps[i]`` to ``ps[j]`` for
-        broadcasting index arrays ``i`` and ``j``.  ``ps`` is validated
-        here, once.  Models with a private kernel override this to pack
-        ``ps`` once too; this fallback asks ``paired``."""
+        broadcasting index arrays or slices ``i`` and ``j``.  ``ps`` is
+        validated here, once.  This is the one distance kernel a model
+        gives; this fallback asks the scalar ``distance``, in floats."""
         self._validate_all(ps)
+        at = np.arange(len(ps))
 
         def dist(i, j):
-            i, j = np.broadcast_arrays(i, j)
-            d = self.paired([ps[k] for k in i.flat], [ps[k] for k in j.flat])
-            return d.reshape(i.shape)
+            i, j = np.broadcast_arrays(at[i], at[j])
+            d = [self.distance(ps[a], ps[b]) for a, b in zip(i.flat, j.flat)]
+            return np.array(d, dtype=float).reshape(i.shape)
 
         return dist
 
-    def _validate_all(self, *seqs):
-        """Raise ``validate``'s ``ModelMismatch`` for the first point it
-        rejects, sequence by sequence.  One vectorized ``_all_valid`` test
-        per sequence skips the scalar check when every point passes."""
-        for ps in seqs:
-            if not self._all_valid(ps):
-                for p in ps:
-                    self.validate(p)
+    def _validate_all(self, ps):
+        """Raise ``validate``'s ``ModelMismatch`` for the first point of
+        ``ps`` it rejects.  One vectorized ``_all_valid`` test skips the
+        scalar check when every point passes."""
+        if not self._all_valid(ps):
+            for p in ps:
+                self.validate(p)
 
     def _all_valid(self, ps) -> bool:
         """True only if ``validate`` accepts every point of ``ps``; False
@@ -285,10 +299,17 @@ def _integer_tuples(ps, length: int | None = None) -> list | None:
     return flat
 
 
-def _as_int_radius(r) -> int:
+def _check_radius(r):
+    """``r``, once it is a finite radius >= 0."""
+    if not math.isfinite(r):
+        raise ValueError("radius must be finite")
     if r < 0:
         raise ValueError("radius must be >= 0")
-    return int(np.floor(r))
+    return r
+
+
+def _as_int_radius(r) -> int:
+    return int(np.floor(_check_radius(r)))
 
 
 @dataclass(frozen=True)
@@ -387,34 +408,15 @@ class LatticeSpace(Space):
             len(ps), self.rank
         )
 
-    def pairwise(self, ps, qs) -> np.ndarray:
-        self._validate_all(ps, qs)
-        if not self.standard:
-            return super().pairwise(ps, qs)
-        return _l1(self._coords(ps)[:, None], self._coords(qs))
-
     def _distances_at(self, ps):
         if not self.standard:
             return super()._distances_at(ps)
         self._validate_all(ps)
         a = self._coords(ps)
-        return lambda i, j: _l1(a[i], a[j])
-
-    def paired(self, ps, qs) -> np.ndarray:
-        if len(ps) != len(qs):
-            raise ValueError("paired distance needs equal-length sequences")
-        self._validate_all(ps, qs)
-        if not self.standard:
-            return super().paired(ps, qs)
-        return _l1(self._coords(ps), self._coords(qs))
+        return lambda i, j: np.abs(a[i] - a[j]).sum(axis=-1)
 
     def format_point(self, p) -> str:
         return "(" + ",".join(str(c) for c in p) + ")"
-
-
-def _l1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """l1 distances between the rows of two coordinate arrays, broadcast."""
-    return np.abs(a - b).sum(axis=-1)
 
 
 def _prefix_lcp(x: np.ndarray, la, lb, bits: int) -> np.ndarray:
@@ -439,34 +441,21 @@ def _prefix_distance(ca, la, cb, lb, bits: int) -> np.ndarray:
     return la + lb - 2 * _prefix_lcp(ca ^ cb, la, lb, bits)
 
 
-def _prefix_distance_matrix(ca, la, cb, lb, bits: int) -> np.ndarray:
-    """|p| + |q| - 2 lcp(p, q) for every pair of packed strings, int64."""
-    out = np.empty((len(ca), len(cb)), dtype=np.int64)
-    ca = ca | (1 << 62)
-    chunk = max(1, BLOCK_PAIRS // max(len(cb), 1))
-    for i0 in range(0, len(ca), chunk):
-        rows = slice(i0, i0 + chunk)
-        out[rows] = _prefix_distance(ca[rows, None], la[rows, None], cb, lb, bits)
-    return out
-
-
 class _PrefixSpace(Space):
     """A model whose standard metric is d(p, q) = |p| + |q| - 2 lcp(p, q).
 
     A point of at most ``_PACK_LIMIT`` symbols packs into one int64 code,
     ``_BITS`` bits per symbol, symbol j at bits [bits*j, bits*(j+1)), and
-    ``pairwise`` / ``paired`` run on the prefix kernel.  Longer points and
-    custom generating sets take the scalar ``distance``.
+    the distances run on the prefix kernel.  Longer points and custom
+    generating sets take the scalar ``distance``.
     """
 
     _BITS: int
     _PACK_LIMIT: int
     standard = True
 
-    def _packable(self, *seqs) -> bool:
-        return self.standard and max(
-            map(len, itertools.chain(*seqs)), default=0
-        ) <= self._PACK_LIMIT
+    def _packable(self, ps) -> bool:
+        return self.standard and max(map(len, ps), default=0) <= self._PACK_LIMIT
 
     def _symbols(self, ps) -> np.ndarray:
         """The int64 symbols of the validated points ``ps``, flattened."""
@@ -483,21 +472,6 @@ class _PrefixSpace(Space):
         symbols[filled] = self._symbols(ps)
         symbols <<= self._BITS * np.arange(filled.shape[1])
         return symbols.sum(axis=1), lengths.astype(np.uint8)
-
-    def pairwise(self, ps, qs) -> np.ndarray:
-        self._validate_all(ps, qs)
-        if not self._packable(ps, qs):
-            return super().pairwise(ps, qs)
-        return _prefix_distance_matrix(*self._pack(ps), *self._pack(qs), self._BITS)
-
-    def paired(self, ps, qs) -> np.ndarray:
-        if len(ps) != len(qs):
-            raise ValueError("paired distance needs equal-length sequences")
-        self._validate_all(ps, qs)
-        if not self._packable(ps, qs):
-            return super().paired(ps, qs)
-        (ca, la), (cb, lb) = self._pack(ps), self._pack(qs)
-        return _prefix_distance(ca | (1 << 62), la, cb, lb, self._BITS).astype(np.int64)
 
     def _distances_at(self, ps):
         """uint8 distances of the prefix kernel over ``ps``, packed once."""

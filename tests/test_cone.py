@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarselab.cone import (
+    _PAIRED_ROWS,
     APEX,
     ConeGrid,
     ConeSpace,
@@ -19,6 +21,7 @@ from coarselab.cone import (
     lambda_length,
     load_edge_list,
 )
+from coarselab.coarse import bornologous_profile
 from coarselab.spaces import CapExceeded, ModelMismatch
 
 
@@ -214,6 +217,9 @@ def test_cone_ball_and_cap():
     small = ConeSpace(two_point_grid(), LINEAR, cap=3)
     with pytest.raises(CapExceeded):
         small.closed_ball((APEX, 0.0), 5.0)
+    for r in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            sp.closed_ball((APEX, 0.0), r)
 
 
 def test_validate_errors():
@@ -239,21 +245,52 @@ def test_pairwise_matches_scalar():
 
 
 def test_distance_paths_agree_past_one_paired_batch():
-    # 401 distinct sources: paired needs four Dijkstra calls of <= 128 rows
+    # 401 distinct sources: a kernel call that asks for all of them needs
+    # four Dijkstra calls of <= _PAIRED_ROWS rows
     grid = ConeGrid.build(*cycle_graph(16), geometric_heights(64))
     sp = ConeSpace(grid, LINEAR)
     pts = grid.grid_points()
-    assert len(pts) > 3 * 128
+    assert len(pts) > 3 * _PAIRED_ROWS
     rng = random.Random(4)
     ps = rng.sample(pts, len(pts))
     qs = [rng.choice(pts) for _ in ps]
     paired = sp.paired(ps, qs)
     assert (paired == np.diag(sp.pairwise(ps, qs))).all()
     assert paired.tolist() == [sp.distance(p, q) for p, q in zip(ps, qs)]
+    # one column: pairwise asks the kernel for every row in one call
+    assert sp.pairwise(ps, qs[:1])[:, 0].tolist() == [sp.distance(p, qs[0]) for p in ps]
     rows = sp.pairwise(pts, pts)
+    dist = sp._distances_at(pts)
+    assert (dist(np.arange(len(pts))[:, None], np.arange(5)) == rows[:, :5]).all()
     for c in rng.sample(range(len(pts)), 20):
         r = rng.uniform(0, 40)
         assert sp.closed_ball(pts[c], r) == [q for q, d in zip(pts, rows[c]) if d <= r]
+
+
+def test_profile_memory_grows_with_the_block_not_the_table():
+    # the whole grid is the sample, so n x N is the grid size squared: a
+    # profile that held its distance tables would grow 4x from the
+    # 120-cycle to the 240-cycle base, one that holds blocks of rows 2x
+    heights = geometric_heights(16, 1)
+
+    def peak(n):
+        sp = ConeSpace(ConeGrid.build(*cycle_graph(n), heights), LINEAR)
+        sp._graph, sp._point_index  # built once per space, outside the profile
+
+        def rotate(p):
+            node, t = p
+            return p if t == 0 else (str((int(node) + 1) % n), t)
+
+        tracemalloc.start()
+        try:
+            bornologous_profile(rotate, sp, sp, [0.5, 1], 16)
+            return tracemalloc.get_traced_memory()[1], len(sp._points)
+        finally:
+            tracemalloc.stop()
+
+    (small, _), (big, size) = peak(120), peak(240)
+    assert big < 3 * small
+    assert big < size * size * 8 / 2  # half of one float64 table
 
 
 def _chorded_hexagon_space(lam: LambdaFunction) -> ConeSpace:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarselab.spaces import (
+    BallSpec,
     BinaryTreeSpace,
     CapExceeded,
     FreeGroupSpace,
@@ -181,6 +183,12 @@ def test_closed_ball_matches_oracle_and_is_monotone():
 def test_closed_ball_negative_radius_and_cap():
     with pytest.raises(ValueError):
         Z1.closed_ball((0,), -1)
+    for r in (math.nan, math.inf, -math.inf):
+        for space in (Z1, F2, T2):
+            with pytest.raises(ValueError, match="radius must be finite"):
+                space.closed_ball(space.basepoint, r)
+        with pytest.raises(ValueError, match="radius must be finite"):
+            BallSpec((0,), r)
     tiny = LatticeSpace(2, cap=10)
     with pytest.raises(CapExceeded):
         tiny.closed_ball((0, 0), 100)
@@ -251,6 +259,61 @@ def test_pairwise_and_paired_match_scalar(space):
         assert vec[i] == space.distance(pts[i], qts[i])
         for j in range(0, 40, 7):
             assert mat[i, j] == space.distance(pts[i], qts[j])
+
+
+def _word_length_of_step(group, step):
+    """d(p, q) as the oracle's word length of step(p, q) in ``group``."""
+    lengths = word_metric_bfs_oracle(group, 8)  # |step(p, q)| <= |p| + |q| <= 8
+    return lambda p, q: lengths[step(p, q)]
+
+
+def _tree_path_through_meet():
+    """d(p, q) from the oracle's depths: a tree path runs through the
+    deepest common ancestor, the common prefix of p and q."""
+    depths = word_metric_bfs_oracle(T2, 4)
+
+    def d(p, q):
+        k = 0
+        while k < min(len(p), len(q)) and p[k] == q[k]:
+            k += 1
+        return depths[p] + depths[q] - 2 * depths[p[:k]]
+
+    return d
+
+
+def _lattice_step(p, q):
+    return tuple(b - a for a, b in zip(p, q))
+
+
+Z2_CUSTOM = LatticeSpace(2, generators=((1, 0), (1, 1)))
+_ORACLE_CASES = {
+    "Z2": (Z2, lambda: _word_length_of_step(Z2, _lattice_step)),
+    # N^2's table is the restricted ambient ball: steps between its points
+    # leave N^2, so their word lengths come from the ambient Z^2 table
+    "N2": (N2, lambda: _word_length_of_step(Z2, _lattice_step)),
+    "Z2-custom": (Z2_CUSTOM, lambda: _word_length_of_step(Z2_CUSTOM, _lattice_step)),
+    "F2": (F2, lambda: _word_length_of_step(
+        F2, lambda p, q: word_multiply(word_inverse(p), q))),
+    "T2": (T2, _tree_path_through_meet),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_CASES))
+def test_kernels_match_bfs_oracle(name):
+    space, oracle_distance = _ORACLE_CASES[name]
+    pts = list(word_metric_bfs_oracle(space, 4))
+    d = oracle_distance()
+    expected = np.array([[d(p, q) for q in pts] for p in pts])
+    n = len(pts)
+    perm = np.random.default_rng(5).permutation(n)
+    mat, vec = space.pairwise(pts, pts), space.paired(pts, [pts[k] for k in perm])
+    assert mat.dtype == vec.dtype == (np.float64 if name == "Z2-custom" else np.int64)
+    assert (mat == expected).all()
+    assert (vec == expected[np.arange(n), perm]).all()
+    assert (space.pairwise(pts, pts[:1]) == expected[:, :1]).all()
+    dist = space._distances_at(pts)
+    assert (dist(np.arange(n)[:, None], np.arange(n)) == expected).all()
+    assert (dist(perm, slice(0, n)) == expected[perm, np.arange(n)]).all()
 
 
 # lengths around the packing limits (20 letters, depth 62): points that
