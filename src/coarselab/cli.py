@@ -486,7 +486,7 @@ def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
     else:
         try:
             verdicts, texts, refuted = _EXPERIMENTS[cfg.experiment][0](cfg)
-        except (ConfigError, CapExceeded, ValueError) as exc:
+        except (ConfigError, CapExceeded, MemoryError, ValueError) as exc:
             error = f"{type(exc).__name__}: {exc}"
         except _INTERNAL_CHECKS as exc:
             error = f"{type(exc).__name__}: {exc}"

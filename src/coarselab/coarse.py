@@ -217,7 +217,7 @@ def bornologous_profile(
     radii = _radii(DEFAULT_RADII if radii is None else radii)
     pts = source.closed_ball(source.basepoint, _sample_radius(source, sample_radius))
     images = [f(p) for p in pts]
-    src, tgt = source._distances_at(pts), target._distances_at(images)
+    src, tgt = source._distances_at(pts, limit=radii[-1]), target._distances_at(images)
 
     # Only pairs in E_R for the largest R can count, so each block of
     # source distances keeps those and the target measures only them, a

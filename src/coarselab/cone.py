@@ -28,8 +28,8 @@ from .spaces import DEFAULT_CAP, ModelMismatch, Space, _check_radius
 
 APEX = "*"
 
-# distinct sources per Dijkstra call of the ConeSpace._distances_at
-# kernel: bounds the distance rows held in memory at once
+# sources per Dijkstra call of ConeSpace._row_blocks, the one search
+# every cone distance reads: bounds the rows held in memory at once
 _PAIRED_ROWS = 128
 
 
@@ -284,46 +284,48 @@ class ConeSpace(Space):
     def _indices(self, ps) -> np.ndarray:
         return np.array([self._point_index[self.validate(p)] for p in ps], dtype=np.intp)
 
-    def _rows(self, idx, limit=np.inf) -> tuple[np.ndarray, np.ndarray]:
-        """Distance rows of the distinct points among the point numbers
-        ``idx`` from one multi-source Dijkstra, and the row of each.
-
-        With a finite ``limit`` the search stops there: every edge
-        weight is positive, so the distances up to the limit (equal
+    def _row_blocks(self, sources, limit=math.inf):
+        """``(offset, rows)`` for each ``_PAIRED_ROWS`` of the point numbers
+        ``sources``: ``rows[k]`` holds the Dijkstra distances from
+        ``sources[offset + k]``.  Each search stops at ``limit``: every
+        edge weight is positive, so the distances up to it (equal
         included) are the ones a full search gives, bit for bit, and
         the rest read inf."""
-        uniq, row_of = np.unique(idx, return_inverse=True)
-        return dijkstra(self._graph, indices=uniq, limit=limit), row_of
+        limit = max(limit, 0.0)  # scipy refuses a negative limit
+        for lo in range(0, len(sources), _PAIRED_ROWS):
+            yield lo, dijkstra(self._graph, indices=sources[lo:lo + _PAIRED_ROWS], limit=limit)
 
     def distance(self, p, q) -> float:
-        rows, _ = self._rows(self._indices([p]))
-        return float(rows[0, self._indices([q])[0]])
+        return float(self._distances_at([p, q])([0], [1])[0])
 
-    def _near(self, ps, qs, r) -> np.ndarray:
-        # scipy refuses a negative limit; below 0 every entry is False anyway
-        rows, row_of = self._rows(self._indices(ps), limit=max(r, 0.0))
-        return rows[np.ix_(row_of, self._indices(qs))] < r
-
-    def _distances_at(self, ps):
-        # rows only for the distinct sources each call asks for, a
-        # Dijkstra call per _PAIRED_ROWS of them
+    def _distances_at(self, ps, limit=math.inf):
         idx = self._indices(ps)
 
         def dist(i, j):
-            src, dst = np.broadcast_arrays(idx[i], idx[j])
-            uniq, row_of = np.unique(src.ravel(), return_inverse=True)
-            dst, out = dst.ravel(), np.empty(src.size)
-            for lo in range(0, len(uniq), _PAIRED_ROWS):
-                hit = (row_of >= lo) & (row_of < lo + _PAIRED_ROWS)
-                rows = dijkstra(self._graph, indices=uniq[lo:lo + _PAIRED_ROWS])
-                out[hit] = rows[row_of[hit] - lo, dst[hit]]
-            return out.reshape(src.shape)
+            src, dst = idx[i], idx[j]
+            shape = np.broadcast_shapes(src.shape, dst.shape)
+            src, dst = (a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in (src, dst))
+            uniq, row_of = np.unique(src, return_inverse=True)
+            row_of = row_of.reshape(src.shape)  # its shape differs between NumPy versions
+            # source positions by block: a block's entries spread from them
+            # along the axes where src is 1 wide, and dst is indexed only
+            # where it varies, so no block broadcasts either to the full shape
+            order = np.argsort(row_of, axis=None)
+            blocks = np.split(order, np.cumsum(np.bincount(row_of.ravel() // _PAIRED_ROWS))[:-1])
+            out = np.empty(shape)
+            for (lo, rows), block in zip(self._row_blocks(uniq, limit), blocks):
+                at = np.unravel_index(block, src.shape)
+                at = tuple(slice(None) if n == 1 else a for a, n in zip(at, src.shape))
+                cols = dst[tuple(a if n > 1 or isinstance(a, slice) else [0]
+                                 for a, n in zip(at, dst.shape))]
+                out[at] = np.take(rows, (row_of[at] - lo) * rows.shape[1] + cols)
+            return out
 
         return dist
 
     def closed_ball(self, center, r) -> list:
         _check_radius(r)
-        rows, _ = self._rows(self._indices([center]), limit=r)
+        (_, rows), = self._row_blocks(self._indices([center]), limit=r)
         hits = np.nonzero(rows[0] <= r)[0]
         self._check_cap(len(hits))
         return [self._points[i] for i in hits]
@@ -421,22 +423,15 @@ def compactification_diagnostic(
         # the points at heights >= t are a tail of the grid_points numbering
         first = grid.point_numbers[np.searchsorted(grid.heights, t), 0]
         above = np.arange(first, len(space._points))
-        sub = dijkstra(space._graph, indices=above, limit=entourage_radius)[:, first:]
-        src_nodes = (above - 1) % len(grid.nodes)
-        a, b = np.nonzero(np.isfinite(sub))
-        measured = float(grid.base_distance[src_nodes[a], src_nodes[b]].max(initial=0.0))
+        nodes = (above - 1) % len(grid.nodes)
+        measured = 0.0
+        for lo, block in space._row_blocks(above, limit=entourage_radius):
+            a, b = np.nonzero(np.isfinite(block[:, first:]))
+            sep = grid.base_distance[nodes[lo + a], nodes[b]].max(initial=0.0)
+            measured = max(measured, float(sep))
         bound = entourage_radius / lam(t)
-        rows.append(
-            DiagnosticRow(
-                height=t,
-                measured_separation=measured,
-                bound=bound,
-                passed=measured <= bound * (1.0 + slack),
-            )
-        )
-    return DiagnosticTable(
-        entourage_radius=float(entourage_radius), slack=slack, rows=tuple(rows)
-    )
+        rows.append(DiagnosticRow(t, measured, bound, measured <= bound * (1.0 + slack)))
+    return DiagnosticTable(float(entourage_radius), slack, tuple(rows))
 
 
 _LAMBDAS = {"linear": LambdaFunction.linear, "sqrt": LambdaFunction.sqrt}

@@ -17,12 +17,14 @@ Four models are provided:
 * ``ConeSpace`` -- lives in :mod:`coarselab.cone`; distance there is the
   grid upper-bound approximation.
 
-Each model gives one distance kernel, ``_distances_at(ps)``, which
-returns ``dist(i, j)`` over the points ``ps``; ``Space`` derives
-``pairwise`` and ``paired`` from it.  The free group and the tree share
-one packed prefix-distance kernel.  The lattice, free-group and tree
-models give ``neighbors(v)``, which drives all of their ball enumeration
-and breadth-first word lengths.
+Each model gives one distance kernel, ``_distances_at(ps, limit)``,
+which returns ``dist(i, j)`` over the points ``ps``; ``Space`` derives
+``pairwise``, ``paired`` and ``_near`` from it.  It is exact up to
+``limit``, which callers that only compare distances with a radius set
+to it, so that the cone stops its searches there.  The free group and
+the tree share one packed prefix-distance kernel.  The lattice,
+free-group and tree models give ``neighbors(v)``, which drives all of
+their ball enumeration and breadth-first word lengths.
 
 All lattice / word / tree distances are exact integers; no floating
 point enters these models.  Ball enumeration is capped (default 10^6
@@ -74,10 +76,7 @@ class BallSpec:
     radius: float
 
     def __post_init__(self):
-        if not math.isfinite(self.radius):
-            raise ValueError("radius must be finite")
-        if self.radius < 0:
-            raise ValueError("ball radius must be >= 0")
+        _check_radius(self.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +239,11 @@ class Space:
 
     def _near(self, ps: Sequence, qs: Sequence, r) -> np.ndarray:
         """Boolean matrix of d(p, q) < r, for callers that only compare
-        distances with the threshold ``r``; a model may compute it
-        without the distances beyond ``r``."""
-        return self.pairwise(ps, qs) < r
+        distances with the threshold ``r``: one kernel call limited to
+        ``r``."""
+        n = len(ps)
+        dist = self._distances_at([*ps, *qs], limit=r)
+        return dist(np.arange(n)[:, None], slice(n, n + len(qs))) < r
 
     def paired(self, ps: Sequence, qs: Sequence) -> np.ndarray:
         """Elementwise distances of two equal-length point sequences."""
@@ -252,11 +253,13 @@ class Space:
         d = self._distances_at([*ps, *qs])(np.arange(n), n + np.arange(n))
         return d.astype(np.int64) if d.dtype == np.uint8 else d
 
-    def _distances_at(self, ps: Sequence) -> Callable[[Any, Any], np.ndarray]:
+    def _distances_at(self, ps: Sequence, limit=math.inf) -> Callable[[Any, Any], np.ndarray]:
         """``dist(i, j)``, the distances from ``ps[i]`` to ``ps[j]`` for
         broadcasting index arrays or slices ``i`` and ``j``.  ``ps`` is
-        validated here, once.  This is the one distance kernel a model
-        gives; this fallback asks the scalar ``distance``, in floats."""
+        validated here, once.  Distances up to ``limit`` are exact; a
+        float model may read larger ones as inf, integer models ignore
+        it.  This is the one distance kernel a model gives; this
+        fallback asks the scalar ``distance``, in floats."""
         self._validate_all(ps)
         at = np.arange(len(ps))
 
@@ -408,7 +411,7 @@ class LatticeSpace(Space):
             len(ps), self.rank
         )
 
-    def _distances_at(self, ps):
+    def _distances_at(self, ps, limit=math.inf):
         if not self.standard:
             return super()._distances_at(ps)
         self._validate_all(ps)
@@ -473,7 +476,7 @@ class _PrefixSpace(Space):
         symbols <<= self._BITS * np.arange(filled.shape[1])
         return symbols.sum(axis=1), lengths.astype(np.uint8)
 
-    def _distances_at(self, ps):
+    def _distances_at(self, ps, limit=math.inf):
         """uint8 distances of the prefix kernel over ``ps``, packed once."""
         self._validate_all(ps)
         if not self._packable(ps):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from coarselab import actions
+from coarselab import actions, cone
 from coarselab.cli import (
     _EXPERIMENTS,
     ConfigError,
@@ -254,6 +254,20 @@ def test_main_batch_continues_after_internal_check_failure(tmp_path, capsys, mon
         assert (tmp_path / "out" / stem / "manifest.json").exists()
     doc = json.loads((tmp_path / "out" / "verify" / "manifest.json").read_text())
     assert doc["error"] == "AssertionError: certificate does not re-check"
+
+
+def test_main_run_out_of_memory_exits_2_with_a_manifest(tmp_path, capsys, monkeypatch):
+    # a run that cannot allocate is a resource error, not a refutation
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 4.08 GiB")
+
+    monkeypatch.setattr(cone, "compactification_diagnostic", exhausted)
+    out = tmp_path / "o"
+    assert main(["run", str(CONFIGS / "cone_diagnostic.cfg"), "--out", str(out)]) == 2
+    assert "error: MemoryError: Unable to allocate 4.08 GiB" in capsys.readouterr().out
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["error"] == "MemoryError: Unable to allocate 4.08 GiB"
+    assert doc["outputs"] == []
 
 
 def test_edge_list_cone_space():

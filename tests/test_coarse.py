@@ -199,8 +199,8 @@ def test_profile_measures_the_target_only_on_the_largest_entourage():
     calls = {}  # the index arrays each distance function was asked for, by its points
     measure = FreeGroupSpace._distances_at
 
-    def spy(space, ps):
-        dist, log = measure(space, ps), calls.setdefault(tuple(ps), [])
+    def spy(space, ps, limit=math.inf):
+        dist, log = measure(space, ps, limit), calls.setdefault(tuple(ps), [])
 
         def logged(i, j):
             log.append(np.broadcast_arrays(i, j))

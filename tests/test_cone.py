@@ -267,6 +267,29 @@ def test_distance_paths_agree_past_one_paired_batch():
         assert sp.closed_ball(pts[c], r) == [q for q, d in zip(pts, rows[c]) if d <= r]
 
 
+def test_kernel_gathers_any_broadcast_across_blocks():
+    # sources along one, two non-adjacent or a trailing axis, targets
+    # spread along the same or other axes, repeats: every entry is the
+    # full table's, however the request splits into Dijkstra blocks
+    grid = ConeGrid.build(*cycle_graph(16), geometric_heights(64))
+    sp = ConeSpace(grid, LINEAR)
+    pts = grid.grid_points()
+    full = sp.pairwise(pts, pts)
+    dist = sp._distances_at(pts)
+    rng = np.random.default_rng(5)
+    n = len(pts)
+    shapes = [((n, 1), (7,)), ((n,), (n,)), ((20, 1, 15), (1, 6, 1)), ((1, 300), (4, 1)),
+              ((n, 1), (n, 3)), ((3, 1), (3, 4)), ((1,), (9,)), ((0, 1), (5,))]
+    for si, sj in shapes:
+        i, j = rng.integers(0, n, si), rng.integers(0, n, sj)
+        assert (dist(i, j) == full[i, j]).all()
+    h = n // 2
+    assert (dist(slice(0, h), slice(h, 2 * h)) == full[np.arange(h), h + np.arange(h)]).all()
+    limited = sp._distances_at(pts, limit=3.0)(np.arange(n)[:, None], slice(0, n))
+    assert (limited[full <= 3.0] == full[full <= 3.0]).all()
+    assert np.isinf(limited[full > 3.0]).all()
+
+
 def test_profile_memory_grows_with_the_block_not_the_table():
     # the whole grid is the sample, so n x N is the grid size squared: a
     # profile that held its distance tables would grow 4x from the
@@ -394,6 +417,44 @@ def test_diagnostic_csv():
     assert lines[0] == "t,measured_sep,bound,pass"
     assert len(lines) == 3
     assert lines[1].endswith("true")
+
+
+def _diagnostic_grid(n):
+    # heights 0, 1, 2, 4, 8, 16: at t = 2 four rows of n points lie above
+    return ConeGrid.build(*cycle_graph(n), geometric_heights(16, 1))
+
+
+@pytest.mark.parametrize("n", [120, 240])
+def test_diagnostic_matches_brute_force_across_blocks(n):
+    grid = _diagnostic_grid(n)
+    above = [p for p in grid.grid_points() if p[1] >= 2.0]
+    assert len(above) > 3 * _PAIRED_ROWS  # t = 2 spans four Dijkstra blocks or more
+    d = ConeSpace(grid, LINEAR).pairwise(above, above)
+    node = np.array([grid.node_index[v] for v, _ in above])
+    height = np.array([t for _, t in above])
+    thresholds = [2.0, 4.0, 8.0, 16.0]
+    for r in (4.0, 12.0):
+        table = compactification_diagnostic(grid, LINEAR, r, thresholds)
+        for t, row in zip(thresholds, table.rows):
+            a, b = np.nonzero((d <= r) & (height >= t) & (height >= t)[:, None])
+            assert row.measured_separation == grid.base_distance[node[a], node[b]].max()
+
+
+def test_diagnostic_memory_grows_with_the_block_not_the_table():
+    # a diagnostic that held |above| x N distances would grow 4x from the
+    # 120-cycle to the 240-cycle base, one that holds a block of rows 2x
+    def peak(n):
+        grid = _diagnostic_grid(n)
+        tracemalloc.start()
+        try:
+            compactification_diagnostic(grid, LINEAR, 4.0, [2.0])
+            return tracemalloc.get_traced_memory()[1], len(grid.grid_points())
+        finally:
+            tracemalloc.stop()
+
+    (small, _), (big, size) = peak(120), peak(240)
+    assert big < 3 * small
+    assert big < 4 * 240 * size * 8 / 2  # half of the |above| x N float64 table
 
 
 # ---------------------------------------------------------------------------
