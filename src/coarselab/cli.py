@@ -349,10 +349,18 @@ def _run_cone_diagnostic(cfg: ExperimentConfig):
 # sin-coordinate reads a point's first coordinate
 _SIN_NEEDS_LATTICE = "function 'sin-coordinate' needs a lattice space (Z^k or N^k)"
 
+
+def _sin_log(space):
+    """sin(log(1 + d(x0, p))), marked radial: ``higson_defect`` evaluates
+    it on its window's distances."""
+    g = lambda d: math.sin(math.log1p(d))
+    f = lambda p: g(space.distance(space.basepoint, p))
+    f.radial = g
+    return f
+
+
 _FUNCTIONS = {
-    "sin-log": lambda space: (
-        lambda p: math.sin(math.log1p(space.distance(space.basepoint, p)))
-    ),
+    "sin-log": _sin_log,
     "sin-coordinate": lambda space: (lambda p: math.sin(p[0])),
     "constant": lambda space: (lambda p: 1.0),
 }
@@ -390,12 +398,13 @@ _EXPERIMENTS = {
     "higson-defect": (_run_higson_defect, ("space", "function", "entourage_radius", "balls")),
 }
 
-# kind -> the numeric-list key its body reads, with the default, if any
+# kind -> the numeric-list key its body reads, with the default, if any,
+# and the certifier's check of the list, if any
 _LISTS = {
-    "verify-coarse": ("radii", _DEFAULT_RADII),
-    "odometer-density": ("epsilons", None),
-    "cone-diagnostic": ("heights", None),
-    "higson-defect": ("balls", None),
+    "verify-coarse": ("radii", _DEFAULT_RADII, coarse._radii),
+    "odometer-density": ("epsilons", None, None),
+    "cone-diagnostic": ("heights", None, None),
+    "higson-defect": ("balls", None, coarse._balls),
 }
 
 # a certifier's own re-check failed: the config was valid, the result is not
@@ -423,18 +432,18 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             model = parse_space_name(cfg.raw["space"])[0]
         except ValueError as exc:
             diags.append(str(exc))
-    key, default = _LISTS.get(exp, (None, None))
+    key, default, check = _LISTS.get(exp, (None, None, None))
     values = None  # the kind's numeric list, once it parses
     if key in cfg.raw or default is not None:
         try:
             values = cfg.numbers(key, default)
         except ConfigError as exc:
             diags.append(str(exc))
-    if exp == "verify-coarse" and values is not None:
+    if check is not None and values is not None:
         try:
-            coarse._radii([float(r) for r in values])
+            check([float(v) for v in values])
         except ValueError as exc:
-            diags.append(f"{exc} (radii = {cfg.get('radii', _DEFAULT_RADII)})")
+            diags.append(f"{exc} ({key} = {cfg.get(key, default)})")
     if exp == "odometer-density" and "precision" in cfg.raw and values is not None:
         try:
             precision = int(cfg.number("precision"))

@@ -180,6 +180,21 @@ def _radii(radii) -> list:
     return radii
 
 
+def _balls(balls) -> list:
+    """Ball radii in their given order; an empty, non-finite, negative or
+    not strictly increasing list is an error."""
+    balls = list(balls)
+    if not balls:
+        raise ValueError("ball radii must be non-empty")
+    if not all(map(math.isfinite, balls)):
+        raise ValueError("ball radii must be finite")
+    if min(balls) < 0:
+        raise ValueError("ball radii must be >= 0")
+    if any(b2 <= b1 for b1, b2 in zip(balls, balls[1:])):
+        raise ValueError("ball radii must be strictly increasing")
+    return balls
+
+
 def _bound(r, d: np.ndarray):
     """The radius ``r`` as a bound on distances ``d``: an integer array
     compares with floor(r) in its own dtype."""
@@ -398,25 +413,20 @@ def higson_defect(
 
     Pairs with exactly one endpoint inside B count.  A decaying table
     supports, but never proves, the vanishing-at-infinity condition.
+    A function with a ``radial`` attribute g is f(p) = g(d(x0, p)) about
+    the basepoint x0, and is evaluated as g on the window's distances.
     """
-    balls = list(balls)
-    if any(b2 <= b1 for b1, b2 in zip(balls, balls[1:])):
-        raise ValueError("ball radii must be strictly increasing")
+    balls = _balls(balls)
+    if not math.isfinite(entourage_radius):
+        raise ValueError("entourage radius must be finite")
     if entourage_radius < 0:
         raise ValueError("entourage radius must be >= 0")
     if window_radius is None:
-        window_radius = math.ceil(1.05 * max(balls)) + 2 * math.ceil(entourage_radius)
-    if window_radius < max(balls):
+        window_radius = math.ceil(1.05 * balls[-1]) + 2 * math.ceil(entourage_radius)
+    if window_radius < balls[-1]:
         raise ValueError("window radius is smaller than the largest ball")
 
-    try:
-        table = word_metric_bfs_oracle(space, window_radius)
-    except ValueError:
-        pts = space.closed_ball(space.basepoint, window_radius)
-        table = dict(zip(pts, distances_from(space, space.basepoint, pts)))
-    points = list(table)
-    base_dist = np.array([table[p] for p in points])
-    values = np.array([float(f(p)) for p in points])
+    points, base_dist, values = _window(f, space, window_radius)
 
     # enumerate the entourage pairs once; per-ball exclusion is a mask
     if isinstance(space, LatticeSpace):
@@ -439,6 +449,24 @@ def higson_defect(
         entourage_radius=float(entourage_radius),
         rows=tuple(rows),
     )
+
+
+def _window(f: Callable, space: Space, radius):
+    """The points of B(x0, radius), their distances from the basepoint x0,
+    and the values of ``f`` on them; a radial ``f`` is evaluated on the
+    distances, with no distance call."""
+    try:
+        table = word_metric_bfs_oracle(space, radius)
+    except ValueError:
+        pts = space.closed_ball(space.basepoint, radius)
+        table = dict(zip(pts, distances_from(space, space.basepoint, pts)))
+    points, dist = list(table), list(table.values())
+    radial = getattr(f, "radial", None)
+    if radial is None:
+        values = [float(f(p)) for p in points]
+    else:
+        values = [float(radial(d)) for d in dist]
+    return points, np.array(dist), np.array(values)
 
 
 def _ball_entourage(space: Space, points: list, radius: float):

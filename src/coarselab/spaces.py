@@ -23,8 +23,10 @@ which returns ``dist(i, j)`` over the points ``ps``; ``Space`` derives
 ``limit``, which callers that only compare distances with a radius set
 to it, so that the cone stops its searches there.  The free group and
 the tree share one packed prefix-distance kernel.  The lattice,
-free-group and tree models give ``neighbors(v)``, which drives all of
-their ball enumeration and breadth-first word lengths.
+free-group and tree models give ``neighbors(v)``, which drives their
+breadth-first word lengths and ball enumeration, except at the root of
+the standard free group and tree, whose balls are listed level by
+level.
 
 All lattice / word / tree distances are exact integers; no floating
 point enters these models.  Ball enumeration is capped (default 10^6
@@ -56,6 +58,12 @@ _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 _LETTER_SYMBOLS = np.zeros(128, dtype=np.int64)
 _LETTER_SYMBOLS[[ord(ch) for ch in LETTERS]] = [1, 2, 3, 4]
 _NO_LETTERS = str.maketrans("", "", LETTERS)
+# the letters that extend a reduced word ending in a given letter (or
+# empty), in sorted order: all but that letter's inverse
+_CHILD_LETTERS = {
+    last: "".join(ch for ch in sorted(LETTERS) if ch != _INVERSE.get(last))
+    for last in ("", *LETTERS)
+}
 # a foreign character or a cancelling pair: what makes a string unreduced
 _NOT_REDUCED = re.compile(r"[^aAbB]|aA|Aa|bB|Bb")
 
@@ -151,8 +159,10 @@ class Space:
     Subclasses provide ``model``, ``integer_metric``, ``basepoint``,
     ``validate``, ``distance`` and may give a vectorized distance kernel,
     ``_distances_at``, from which ``pairwise`` and ``paired`` are derived.
-    Graph models provide ``neighbors``, from which ``closed_ball`` and
-    ``_word_length`` are derived; other models override ``closed_ball``.
+    Graph models provide ``neighbors``, from which ``_word_length`` and
+    the breadth-first ``closed_ball`` are derived; a graph model that can
+    list a ball directly (the standard free group and tree at the root)
+    gives ``_listed_ball``.  Other models override ``closed_ball``.
     """
 
     model: str = "abstract"
@@ -175,14 +185,25 @@ class Space:
         raise NotImplementedError
 
     def closed_ball(self, center, r) -> list:
-        """Points within distance ``r`` of ``center``, breadth-first over
-        ``neighbors``; sorted by length, then in natural order."""
+        """Points within distance ``r`` of ``center``, sorted by length,
+        then in natural order: listed by ``_listed_ball`` where the model
+        knows the ball, else breadth-first over ``neighbors``."""
         center = self.validate(center)
+        radius = _as_int_radius(r)
+        ball = self._listed_ball(center, radius)
+        if ball is not None:
+            return ball
         seen = {center: 0}
         sphere = [center]
-        for _ in range(_as_int_radius(r)):
+        for _ in range(radius):
             sphere = self._next_sphere(sphere, seen)
         return sorted(self._restrict(seen), key=lambda p: (len(p), p))
+
+    def _listed_ball(self, center, radius: int) -> list | None:
+        """``closed_ball(center, radius)`` listed directly, with the
+        search's cap check, or None to send ``closed_ball`` to the
+        search."""
+        return None
 
     def _restrict(self, points):
         """The model's points among those enumerated over ``neighbors``."""
@@ -487,6 +508,29 @@ class _PrefixSpace(Space):
             marked[i], lengths[i], codes[j], lengths[j], self._BITS
         )
 
+    def _ball_size(self, radius: int) -> int:
+        """|B(root, radius)| in the standard model."""
+        raise NotImplementedError
+
+    def _children(self, level: list) -> list:
+        """The points one level below ``level``, each point's children
+        in sorted order."""
+        raise NotImplementedError
+
+    def _listed_ball(self, center, radius):
+        # In the standard model a level sorted in natural order, each
+        # point extended by its children in sorted order, gives the next
+        # level sorted too; so the ball comes out in closed_ball's order.
+        if not self.standard or center != self.basepoint:
+            return None
+        if radius:  # the search checks no cap for the center alone
+            self._check_cap(self._ball_size(radius))
+        ball, level = [center], [center]
+        for _ in range(radius):
+            level = self._children(level)
+            ball += level
+        return ball
+
 
 @dataclass(frozen=True)
 class FreeGroupSpace(_PrefixSpace):
@@ -554,6 +598,12 @@ class FreeGroupSpace(_PrefixSpace):
     def neighbors(self, v: str) -> list[str]:
         return [word_multiply(v, m) for m in self.moves]
 
+    def _ball_size(self, radius):
+        return 2 * 3**radius - 1
+
+    def _children(self, level):
+        return [w + ch for w in level for ch in _CHILD_LETTERS[w[-1:]]]
+
     def _symbols(self, ps):
         return _LETTER_SYMBOLS[np.frombuffer("".join(ps).encode("ascii"), np.uint8)]
 
@@ -616,6 +666,12 @@ class BinaryTreeSpace(_PrefixSpace):
         if v:
             out.append(v[:-1])
         return out
+
+    def _ball_size(self, radius):
+        return 2 ** (radius + 1) - 1
+
+    def _children(self, level):
+        return [v + b for v in level for b in ((0,), (1,))]
 
     def format_point(self, p) -> str:
         return "".join(str(b) for b in p) if p else "*"

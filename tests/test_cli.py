@@ -308,6 +308,11 @@ _BALLS_1_0 = (
     "entourage_radius = 1\nballs = 2, 1/0\n"
 )
 
+_NEGATIVE_BALL = (
+    "experiment = higson-defect\nspace = Z^1\nfunction = sin-log\n"
+    "entourage_radius = 1\nballs = -1, 2\n"
+)
+
 # case -> (command, config text with {dir} for the test directory, raw
 # bytes, or None for a config file that does not exist; exit status,
 # manifest written?, text the command prints); the exit-0 rows are
@@ -399,6 +404,17 @@ FAILURE_CONFIGS = {
     ),
     "balls-1-0-run": (
         "run", _BALLS_1_0, 2, True, "error: invalid numeric list for 'balls': Fraction(1, 0)",
+    ),
+    "negative-ball-validate": (
+        "validate", _NEGATIVE_BALL, 2, False,
+        "diagnostic: ball radii must be >= 0 (balls = -1, 2)",
+    ),
+    "negative-ball-run": (
+        "run", _NEGATIVE_BALL, 2, True, "error: ball radii must be >= 0 (balls = -1, 2)",
+    ),
+    "no-balls-run": (
+        "run", _NEGATIVE_BALL.replace("-1, 2", ""), 2, True,
+        "error: ball radii must be non-empty (balls = )",
     ),
     "heights-not-a-number-validate": (
         "validate",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarselab import coarse
+from coarselab import cli, coarse
 from coarselab.actions import lattice_translation, left_translation, right_translation
 from coarselab.coarse import (
     CERTIFIED,
@@ -433,10 +433,44 @@ def test_higson_witnesses_under_ties():
 
 
 def test_higson_validation_errors():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        higson_defect(lambda p: 0.0, Z1, 2, [10, 10])
-    with pytest.raises(ValueError, match="window"):
-        higson_defect(lambda p: 0.0, Z1, 2, [100], window_radius=50)
+    for radius, balls, window, message in [
+        (2, [10, 10], None, "ball radii must be strictly increasing"),
+        (2, [100], 50, "window radius is smaller than the largest ball"),
+        (1, [], None, "ball radii must be non-empty"),
+        (1, [5.0, math.nan], None, "ball radii must be finite"),
+        (1, [math.inf], None, "ball radii must be finite"),
+        (1, [-1.0, 2.0], None, "ball radii must be >= 0"),
+        (math.nan, [2.0], None, "entourage radius must be finite"),
+        (math.inf, [2.0], None, "entourage radius must be finite"),
+        (-1, [2.0], None, "entourage radius must be >= 0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            higson_defect(lambda p: 0.0, Z1, radius, balls, window_radius=window)
+
+
+# a small cone grid: no BFS oracle, so the window comes from closed_ball
+_RADIAL_CASES = {
+    "Z1": (Z1, 30, 3, [5, 20]),
+    "N2": (N2, 8, 2, [3, 6]),
+    "Z2-custom": (LatticeSpace(2, generators=((1, 2), (0, 3))), 4, 3, [2, 4]),
+    "F2": (F2, 4, 2, [1, 3]),
+    "T2": (T2, 6, 2, [2, 5]),
+    "cone": (CONE, 4, 1, [1, 3]),
+}
+
+
+@pytest.mark.parametrize("case", list(_RADIAL_CASES))
+def test_radial_function_matches_the_scalar_path(case):
+    space, window, radius, balls = _RADIAL_CASES[case]
+    f = cli._FUNCTIONS["sin-log"](space)
+    with mock.patch.object(type(space), "distance", side_effect=AssertionError):
+        points, _, values = coarse._window(f, space, window)
+    scalar = [math.sin(math.log1p(space.distance(space.basepoint, p))) for p in points]
+    assert len(points) > 1 and values.tolist() == scalar
+    # the same function without its radial mark takes the per-point path
+    tables = [higson_defect(g, space, radius, balls, window_radius=window)
+              for g in (f, lambda p: f(p))]
+    assert tables[0].rows == tables[1].rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -192,6 +194,58 @@ def test_closed_ball_negative_radius_and_cap():
     tiny = LatticeSpace(2, cap=10)
     with pytest.raises(CapExceeded):
         tiny.closed_ball((0, 0), 100)
+
+
+def _searched_ball(space, center, r):
+    """``closed_ball`` with the listed-ball path switched off: the
+    breadth-first search over ``neighbors``."""
+    with mock.patch.object(type(space), "_listed_ball", return_value=None):
+        return space.closed_ball(center, r)
+
+
+@pytest.mark.parametrize(
+    "space,centers",
+    [(F2, ["a", "Ab", "bab"]), (T2, [(0,), (1, 0), (1, 1, 0)])],
+    ids=["F2", "T2"],
+)
+@pytest.mark.parametrize("r", [*range(9), 6.5])
+def test_listed_balls_match_the_search(space, centers, r):
+    root = space.basepoint
+    assert space._listed_ball(root, math.floor(r)) is not None
+    assert space.closed_ball(root, r) == _searched_ball(space, root, r)
+    for center in centers:
+        assert space._listed_ball(center, math.floor(r)) is None
+        assert space.closed_ball(center, r) == _searched_ball(space, center, r)
+
+
+@pytest.mark.parametrize("space", [F2, T2], ids=["F2", "T2"])
+@pytest.mark.parametrize("r", [0, 1, 5])
+def test_listed_balls_keep_the_search_cap(space, r):
+    n = len(_searched_ball(space, space.basepoint, r))
+    assert replace(space, cap=n).closed_ball(space.basepoint, r) == _searched_ball(
+        space, space.basepoint, r
+    )
+    tight = replace(space, cap=n - 1)
+    if r == 0:  # the search counts no cap for the center alone
+        assert tight.closed_ball(tight.basepoint, r) == [tight.basepoint]
+        return
+    with pytest.raises(CapExceeded) as searched:
+        _searched_ball(tight, tight.basepoint, r)
+    with pytest.raises(CapExceeded) as listed:
+        tight.closed_ball(tight.basepoint, r)
+    assert str(listed.value) == str(searched.value) == (
+        f"ball enumeration exceeded cap of {n - 1} points"
+    )
+
+
+@pytest.mark.parametrize("generators", [("ab", "b"), ("a", "bab")])
+def test_custom_free_group_balls_come_from_the_search(generators):
+    space = FreeGroupSpace(generators=generators)
+    for r in range(4):
+        assert space._listed_ball(space.basepoint, r) is None
+        assert space.closed_ball(space.basepoint, r) == _searched_ball(
+            space, space.basepoint, r
+        )
 
 
 # ---------------------------------------------------------------------------
