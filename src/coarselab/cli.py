@@ -439,11 +439,18 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             values = cfg.numbers(key, default)
         except ConfigError as exc:
             diags.append(str(exc))
+    checked = None  # the list as the certifier reads it, once its check passes
     if check is not None and values is not None:
         try:
-            check([float(v) for v in values])
+            checked = check([float(v) for v in values])
         except ValueError as exc:
             diags.append(f"{exc} ({key} = {cfg.get(key, default)})")
+    if exp == "higson-defect" and "window_radius" in cfg.raw and checked is not None:
+        try:
+            coarse._check_window(float(cfg.number("window_radius")), checked)
+        except ValueError as exc:
+            diags.append(f"{exc} (window_radius = {cfg.raw['window_radius']}, "
+                         f"balls = {cfg.raw['balls']})")
     if exp == "odometer-density" and "precision" in cfg.raw and values is not None:
         try:
             precision = int(cfg.number("precision"))

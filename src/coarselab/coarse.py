@@ -42,6 +42,8 @@ class ControlledSetSpec:
     radius: float
 
     def __post_init__(self):
+        if not math.isfinite(self.radius):
+            raise ValueError("entourage radius must be finite")
         if self.radius < 0:
             raise ValueError("entourage radius must be >= 0")
 
@@ -163,6 +165,8 @@ def default_sample_radius(space: Space) -> int:
 def _sample_radius(space: Space, sample_radius):
     if sample_radius is None:
         return default_sample_radius(space)
+    if not math.isfinite(sample_radius):
+        raise ValueError("sample ball radius must be finite")
     if sample_radius < 0:
         raise ValueError("sample ball radius must be >= 0")
     return sample_radius
@@ -193,6 +197,12 @@ def _balls(balls) -> list:
     if any(b2 <= b1 for b1, b2 in zip(balls, balls[1:])):
         raise ValueError("ball radii must be strictly increasing")
     return balls
+
+
+def _check_window(window_radius, balls: list):
+    """Raise unless the Higson window holds the largest of ``_balls``."""
+    if window_radius < balls[-1]:
+        raise ValueError("window radius is smaller than the largest ball")
 
 
 def _bound(r, d: np.ndarray):
@@ -234,20 +244,14 @@ def bornologous_profile(
     images = [f(p) for p in pts]
     src, tgt = source._distances_at(pts, limit=radii[-1]), target._distances_at(images)
 
-    # Only pairs in E_R for the largest R can count, so each block of
-    # source distances keeps those and the target measures only them, a
-    # batch at a time.  A metric table is symmetric, so its first
-    # row-major maximum lies on or above the diagonal, and rows i0:i1
-    # need only columns i0: .  Float (cone) distances need not be
-    # exactly symmetric and keep full rows.
+    # Only pairs in E_R for the largest R can count, so the target
+    # measures only those, a batch at a time.  A metric table is
+    # symmetric, so its first row-major maximum lies on or above the
+    # diagonal.  Float (cone) distances need not be exactly symmetric
+    # and keep full rows.
     upper = source.integer_metric and target.integer_metric
-    n = len(pts)
     best = {r: (-math.inf, None, None) for r in radii}
-    batch = []  # (rows, columns, source distances) of selected pairs, row-major
-
-    def reduce_batch():
-        i, j, dsrc = (np.concatenate(a) for a in zip(*batch))
-        batch.clear()
+    for i, j, dsrc in _entourage_batches(source, pts, src, radii[-1], upper):
         dtgt = tgt(i, j)
         if dtgt.dtype != np.uint8:
             dtgt = dtgt.astype(float)  # other kernels' distances compare as floats
@@ -255,27 +259,6 @@ def bornologous_profile(
             hit = _masked_max(dsrc <= _bound(r, dsrc), dtgt)
             if hit is not None and hit[0] > best[r][0]:
                 best[r] = (hit[0], pts[i[hit[1]]], pts[j[hit[1]]])
-
-    selected = 0
-    i0 = 0
-    while i0 < n:
-        j0 = i0 if upper else 0
-        i1 = min(n, i0 + max(1, BLOCK_PAIRS // (n - j0)))
-        d = src(np.arange(i0, i1)[:, None], np.arange(j0, n))
-        i, j = np.divmod(np.flatnonzero(d <= _bound(radii[-1], d)), n - j0)
-        i += i0
-        j += j0
-        if upper:  # the block's rows past i0 reach a little below the diagonal
-            i, j = i[j >= i], j[j >= i]
-        if len(i):
-            batch.append((i, j, d[i - i0, j - j0]))
-            selected += len(i)
-        if selected >= BLOCK_PAIRS:
-            reduce_batch()
-            selected = 0
-        i0 = i1
-    if batch:
-        reduce_batch()
 
     rows = []
     for r in radii:
@@ -299,6 +282,41 @@ def bornologous_profile(
     )
 
 
+def _entourage_batches(source: Space, pts: list, src: Callable, r, upper: bool):
+    """The index pairs (i, j) of ``pts`` within ``r`` under the source
+    kernel ``src``, with their distances d: row-major batches
+    ``(i, j, d)``, each but the last of at least ``BLOCK_PAIRS`` pairs,
+    j >= i when ``upper``.  The source lists them where it can
+    (``_listed_pairs``); otherwise they are kept from blocks of
+    ``src`` rows, rows i0:i1 reading columns i0: when ``upper``."""
+    listed = source._listed_pairs(pts, r) if upper else None
+    if listed is not None:
+        for i, j in listed:
+            yield i, j, src(i, j)
+        return
+    n = len(pts)
+    batch, selected = [], 0
+    i0 = 0
+    while i0 < n:
+        j0 = i0 if upper else 0
+        i1 = min(n, i0 + max(1, BLOCK_PAIRS // (n - j0)))
+        d = src(np.arange(i0, i1)[:, None], np.arange(j0, n))
+        i, j = np.divmod(np.flatnonzero(d <= _bound(r, d)), n - j0)
+        i += i0
+        j += j0
+        if upper:  # the block's rows past i0 reach a little below the diagonal
+            i, j = i[j >= i], j[j >= i]
+        if len(i):
+            batch.append((i, j, d[i - i0, j - j0]))
+            selected += len(i)
+        if selected >= BLOCK_PAIRS:
+            yield tuple(np.concatenate(a) for a in zip(*batch))
+            batch, selected = [], 0
+        i0 = i1
+    if batch:
+        yield tuple(np.concatenate(a) for a in zip(*batch))
+
+
 def properness_table(
     f: Callable,
     source: Space,
@@ -319,6 +337,8 @@ def properness_table(
     radii = _radii(radii)
     if domain_radius is None:
         domain_radius = 2 * max(radii) + 4
+    if not math.isfinite(domain_radius):
+        raise ValueError("domain radius must be finite")
     if domain_radius <= 0:
         raise ValueError("domain radius must be > 0")
     horizons = sorted({math.ceil(domain_radius / 4), math.ceil(domain_radius / 2),
@@ -423,8 +443,7 @@ def higson_defect(
         raise ValueError("entourage radius must be >= 0")
     if window_radius is None:
         window_radius = math.ceil(1.05 * balls[-1]) + 2 * math.ceil(entourage_radius)
-    if window_radius < balls[-1]:
-        raise ValueError("window radius is smaller than the largest ball")
+    _check_window(window_radius, balls)
 
     points, base_dist, values = _window(f, space, window_radius)
 

@@ -26,7 +26,9 @@ the tree share one packed prefix-distance kernel.  The lattice,
 free-group and tree models give ``neighbors(v)``, which drives their
 breadth-first word lengths and ball enumeration, except at the root of
 the standard free group and tree, whose balls are listed level by
-level.
+level.  Those two models also list the pairs of a sorted point list
+within a radius, ``_listed_pairs(ps, r)``, as runs of points sharing a
+prefix, at a cost that grows with the pairs and not with len(ps)^2.
 
 All lattice / word / tree distances are exact integers; no floating
 point enters these models.  Ball enumeration is capped (default 10^6
@@ -54,9 +56,10 @@ BLOCK_PAIRS = 16_384
 
 LETTERS = "aAbB"
 _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
-# packed symbol of each letter (by its byte): 3 bits, never 0
+# packed symbol of each letter (by its byte): 3 bits, never 0, increasing
+# in the letters' natural order ABab
 _LETTER_SYMBOLS = np.zeros(128, dtype=np.int64)
-_LETTER_SYMBOLS[[ord(ch) for ch in LETTERS]] = [1, 2, 3, 4]
+_LETTER_SYMBOLS[[ord(ch) for ch in sorted(LETTERS)]] = [1, 2, 3, 4]
 _NO_LETTERS = str.maketrans("", "", LETTERS)
 # the letters that extend a reduced word ending in a given letter (or
 # empty), in sorted order: all but that letter's inverse
@@ -162,7 +165,10 @@ class Space:
     Graph models provide ``neighbors``, from which ``_word_length`` and
     the breadth-first ``closed_ball`` are derived; a graph model that can
     list a ball directly (the standard free group and tree at the root)
-    gives ``_listed_ball``.  Other models override ``closed_ball``.
+    gives ``_listed_ball``.  Other models override ``closed_ball``.  A
+    model that can list the pairs of points within a radius without a
+    distance table (the standard free group and tree, on points sorted
+    as ``closed_ball`` gives them) gives ``_listed_pairs``.
     """
 
     model: str = "abstract"
@@ -203,6 +209,14 @@ class Space:
         """``closed_ball(center, radius)`` listed directly, with the
         search's cap check, or None to send ``closed_ball`` to the
         search."""
+        return None
+
+    def _listed_pairs(self, ps: Sequence, r) -> Iterator | None:
+        """The index pairs (i, j), i <= j, of ``ps`` with d(ps[i], ps[j])
+        <= r, listed without a distance table: batches of index arrays
+        ``(i, j)`` in row-major order, each but the last of at least
+        ``BLOCK_PAIRS`` pairs; or None, where the model cannot list them,
+        to send the caller to thresholding the distance kernel."""
         return None
 
     def _restrict(self, points):
@@ -465,6 +479,55 @@ def _prefix_distance(ca, la, cb, lb, bits: int) -> np.ndarray:
     return la + lb - 2 * _prefix_lcp(ca ^ cb, la, lb, bits)
 
 
+def _prefix_runs(keys, lengths, r, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of points within ``r`` of each point, at or after it, as
+    (n, t) arrays of first indices and counts: for each point, one run in
+    its own length and one in each of the next t - 1 lengths.  The
+    points have strictly increasing prefix keys ``keys`` (see
+    ``_PrefixSpace._listed_pairs``) and lengths ``lengths``.
+
+    For x of length a, the y of length l >= a with |x| + |y| - 2 lcp
+    <= r are those sharing x's prefix of length k = ceil((a + l - r) / 2)
+    (at least 0, at most a when l <= a + r).  Their keys lie between
+    that prefix's key, shifted up by bits*(l - k), and the same with
+    every lower bit set, so one ``searchsorted`` per bound finds them.
+    In x's own length the run starts at x.
+    """
+    n, width = len(keys), int(lengths.max(initial=0))
+    r = min(math.floor(r), 2 * width)  # no distance is larger
+    a = lengths[:, None]
+    level = a + np.arange(max(0, min(r, width) + 1))  # x's own length, then up to r more
+    present = level <= width
+    level = np.minimum(level, width)
+    k = np.maximum(0, (a + level - r + 1) // 2)
+    shift = bits * (level - k)
+    low = (keys[:, None] >> bits * (a - k)) << shift
+    first = np.searchsorted(keys, low)
+    first[:, :1] = np.arange(n)[:, None]
+    last = np.searchsorted(keys, low | (1 << shift) - 1, side="right")
+    return first, np.where(present, last - first, 0)
+
+
+def _run_batches(first, counts) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The index pairs (i, j) of the runs ``first[i, t]`` up to
+    ``first[i, t] + counts[i, t]``, row by row: batches of index arrays,
+    each ending with the run that brings it to at least ``BLOCK_PAIRS``
+    pairs."""
+    runs_per_row = first.shape[1]
+    first, counts = first.ravel(), counts.ravel()
+    ends, total = np.cumsum(counts), counts.sum()
+    start, done = 0, 0  # the batch's first run, and the pairs before it
+    while done < total:
+        stop = min(len(ends), int(np.searchsorted(ends, done + BLOCK_PAIRS)) + 1)
+        c = counts[start:stop]
+        # the pair numbered p overall, in run q, has column first[q] + p
+        # less the pairs before run q
+        column = np.repeat(first[start:stop] - (ends[start:stop] - c), c)
+        yield (np.repeat(np.arange(start, stop) // runs_per_row, c),
+               column + np.arange(done, ends[stop - 1]))
+        start, done = stop, ends[stop - 1]
+
+
 class _PrefixSpace(Space):
     """A model whose standard metric is d(p, q) = |p| + |q| - 2 lcp(p, q).
 
@@ -485,17 +548,40 @@ class _PrefixSpace(Space):
         """The int64 symbols of the validated points ``ps``, flattened."""
         raise NotImplementedError
 
-    def _pack(self, ps) -> tuple[np.ndarray, np.ndarray]:
-        """int64 codes and uint8 lengths of validated, packable points;
-        lengths are at most 62, so every distance (<= 124) fits in uint8."""
+    def _symbol_matrix(self, ps) -> tuple[np.ndarray, np.ndarray]:
+        """The symbols of validated points in a zero-padded int64
+        point-by-position matrix, and the points' lengths."""
         lengths = np.fromiter(map(len, ps), np.intp, len(ps))
-        # the flattened symbols fill a zero-padded point-by-position
-        # matrix row by row; a code is the sum of symbol j << bits*j
+        # the flattened symbols fill the matrix row by row
         filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
         symbols = np.zeros(filled.shape, np.int64)
         symbols[filled] = self._symbols(ps)
-        symbols <<= self._BITS * np.arange(filled.shape[1])
+        return symbols, lengths
+
+    def _pack(self, ps) -> tuple[np.ndarray, np.ndarray]:
+        """int64 codes and uint8 lengths of validated, packable points;
+        lengths are at most 62, so every distance (<= 124) fits in uint8.
+        A code is the sum of symbol j << bits*j."""
+        symbols, lengths = self._symbol_matrix(ps)
+        symbols <<= self._BITS * np.arange(symbols.shape[1])
         return symbols.sum(axis=1), lengths.astype(np.uint8)
+
+    def _listed_pairs(self, ps, r):
+        # listed by prefix runs for standard, packable points strictly
+        # sorted by (length, natural order), as closed_ball gives them
+        if not (self._all_valid(ps) and self._packable(ps)):
+            return None
+        symbols, lengths = self._symbol_matrix(ps)
+        width = symbols.shape[1]
+        # a point's key is a leading 1 bit, then its symbols, the first
+        # most significant (at most bits*62 + 1 <= 63 bits): keys increase
+        # with (length, natural order), and key >> bits*(|p| - k) is the
+        # key of p's prefix of length k
+        symbols <<= self._BITS * np.arange(width)[::-1]
+        keys = (symbols.sum(axis=1) | 1 << self._BITS * width) >> self._BITS * (width - lengths)
+        if np.any(keys[1:] <= keys[:-1]):
+            return None
+        return _run_batches(*_prefix_runs(keys, lengths, r, self._BITS))
 
     def _distances_at(self, ps, limit=math.inf):
         """uint8 distances of the prefix kernel over ``ps``, packed once."""

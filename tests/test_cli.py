@@ -430,6 +430,15 @@ FAILURE_CONFIGS = {
         "experiment = verify-coarse\nspace = Z^1\naction = translate\nby = 1\nradii = 1/0\n",
         2, False, "diagnostic: invalid numeric list for 'radii': Fraction(1, 0)",
     ),
+    "window-inside-largest-ball-validate": (
+        "validate", _NEGATIVE_BALL.replace("-1, 2", "5\nwindow_radius = 2"), 2, False,
+        "diagnostic: window radius is smaller than the largest ball "
+        "(window_radius = 2, balls = 5)",
+    ),
+    "window-not-a-number-validate": (
+        "validate", _NEGATIVE_BALL.replace("-1, 2", "5\nwindow_radius = x"), 2, False,
+        "diagnostic: invalid numeric value for 'window_radius'",
+    ),
 }
 
 

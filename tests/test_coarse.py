@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarselab import cli, coarse
+from coarselab import cli, coarse, spaces
 from coarselab.actions import lattice_translation, left_translation, right_translation
 from coarselab.coarse import (
     CERTIFIED,
@@ -48,6 +49,11 @@ def test_controlled_set_spec():
     assert not e.contains(Z1, (0,), (4,))
     with pytest.raises(ValueError):
         ControlledSetSpec(-1)
+    # a NaN radius would hold no pair, not even the diagonal; an infinite
+    # one bounds nothing
+    for radius in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ControlledSetSpec(radius)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +246,89 @@ def test_profile_rejects_bad_input():
             bornologous_profile(lambda p: p, Z1, Z1, radii, 4)
         with pytest.raises(ValueError, match="finite"):
             properness_table(lambda p: p, Z1, Z1, radii, 8)
+    for radius in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sample ball radius must be finite"):
+            bornologous_profile(lambda p: p, Z1, Z1, [1], radius)
+        with pytest.raises(ValueError, match="sample ball radius must be finite"):
+            closeness_bound(lambda p: p, lambda p: p, Z1, radius)
+        with pytest.raises(ValueError, match="domain radius must be finite"):
+            properness_table(lambda p: p, Z1, Z1, [1], radius)
+
+
+def _entourage_pairs(space, ps, r, listed=True, block=coarse.BLOCK_PAIRS):
+    """The pairs (i, j) and distances of ``coarse._entourage_batches`` on
+    ``ps``, j >= i, and the sizes of its batches: listed by the space,
+    or kept from blocks of the source kernel with the listing hook
+    patched to return None."""
+    hook = type(space)._listed_pairs if listed else (lambda self, ps, r: None)
+    src = space._distances_at(ps, limit=r)
+    with mock.patch.object(type(space), "_listed_pairs", hook), \
+            mock.patch.object(spaces, "BLOCK_PAIRS", block), \
+            mock.patch.object(coarse, "BLOCK_PAIRS", block):
+        batches = list(coarse._entourage_batches(space, ps, src, r, True))
+    pairs = tuple(np.concatenate([b[k] for b in batches] or [[]]).tolist() for k in range(3))
+    return pairs, [len(b[0]) for b in batches]
+
+
+# space, centres, ball radius: the listing's balls about the root and elsewhere
+_LISTED = {
+    "F2": (F2, ["", "a", "Ab", "bab"], 4),
+    "T2": (T2, [(), (1,), (0, 1), (1, 1, 0)], 5),
+}
+
+
+@pytest.mark.parametrize("case", list(_LISTED))
+def test_listed_pairs_match_the_blocked_loop(case):
+    space, centres, radius = _LISTED[case]
+    for centre in centres:
+        ps = space.closed_ball(centre, radius)
+        for r in (-1, 0, 0.5, 1, 3.5, 6, 2 * radius + 1):
+            assert space._listed_pairs(ps, r) is not None
+            listed, _ = _entourage_pairs(space, ps, r)
+            assert listed == _entourage_pairs(space, ps, r, listed=False)[0]
+            assert len(listed[0]) == np.triu(space.pairwise(ps, ps) <= r).sum()
+
+
+@pytest.mark.parametrize("case", list(_LISTED))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_listed_pairs_of_sorted_subsets(case, data):
+    space, centres, radius = _LISTED[case]
+    ball = space.closed_ball(data.draw(st.sampled_from(centres)), radius)
+    ps = [ball[k] for k in sorted(data.draw(st.sets(st.integers(0, len(ball) - 1))))]
+    r = data.draw(st.sampled_from([-1, 0, 0.5, 1, 2, 3.5, 5, 6, 2 * radius + 1]))
+    block = data.draw(st.integers(1, 200))
+    listed, sizes = _entourage_pairs(space, ps, r, block=block)
+    assert listed == _entourage_pairs(space, ps, r, listed=False, block=block)[0]
+    assert all(size >= block for size in sizes[:-1])
+
+
+def test_listed_pairs_decline_what_they_cannot_list():
+    ball = F2.closed_ball("", 2)
+    assert F2._listed_pairs(ball, 2) is not None
+    for ps in (ball[::-1], ["", "a", "A"], ball + ball[-1:], ball + ["aA"], ["", LONG]):
+        assert F2._listed_pairs(ps, 2) is None  # unsorted, repeated, unreduced, unpacked
+    assert F2_CUSTOM._listed_pairs(F2_CUSTOM.closed_ball("", 2), 2) is None
+    assert T2._listed_pairs([(), (1,), (0,)], 2) is None
+    assert T2._listed_pairs([(), (0,) * 63], 2) is None
+
+
+def test_listed_profile_memory_grows_with_the_block_not_the_pairs():
+    # every pair selected: 117,855 pairs on or above the diagonal of
+    # B(e, 5), 1,062,153 of B(e, 6); holding them would grow 9x
+    f = right_translation("ab")
+
+    def peak(radius):
+        tracemalloc.start()
+        try:
+            bornologous_profile(f, F2, F2, [12], radius)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, big = peak(5), peak(6)
+    assert big < 1.5 * small
+    assert big < 1_062_153 * 4  # a quarter of the pairs' two int64 indices
 
 
 # ---------------------------------------------------------------------------
