@@ -41,7 +41,6 @@ from .cone import (
     LambdaFunction,
     compactification_diagnostic,
     cone_distance_lower,
-    cone_distance_upper,
     cycle_graph,
     geometric_heights,
     lambda_length,

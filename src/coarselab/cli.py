@@ -32,6 +32,7 @@ from .spaces import (
     FreeGroupSpace,
     LatticeSpace,
     Space,
+    _as_int_radius,
     parse_space_name,
     space_from_config,
 )
@@ -411,6 +412,30 @@ _LISTS = {
 _INTERNAL_CHECKS = (actions.IsometryViolation, AssertionError)
 
 
+def _over_cap_balls(cfg: ExperimentConfig, radii: list) -> list[str]:
+    """verify-coarse on the standard F2 or tree: the sample and domain
+    balls about the root that would hold more points than the cap, from
+    the ball sizes the enumeration checks against it.  A config the run
+    rejects for another reason gets no prediction."""
+    try:
+        space = space_from_config(cfg.raw)
+        balls = {
+            "sample ball": coarse._sample_radius(space, cfg.optional_number("sample_radius")),
+            "domain ball": coarse._horizons(radii, cfg.optional_number("domain_radius"))[-1],
+        }
+    except ValueError:
+        return []
+    if not space.standard:
+        return []
+    diags = []
+    for name, r in balls.items():
+        size = space._ball_size(_as_int_radius(r))
+        if size > space.cap:
+            diags.append(f"{name} B({space.format_point(space.basepoint)}, {r:g}) would hold "
+                         f"{size} points, over the cap of {space.cap}")
+    return diags
+
+
 def validate(cfg: ExperimentConfig) -> list[str]:
     """Static diagnostics only; runs no computation."""
     exp = cfg.experiment
@@ -451,6 +476,8 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         except ValueError as exc:
             diags.append(f"{exc} (window_radius = {cfg.raw['window_radius']}, "
                          f"balls = {cfg.raw['balls']})")
+    if exp == "verify-coarse" and model in ("free-group", "binary-tree") and checked is not None:
+        diags += _over_cap_balls(cfg, checked)
     if exp == "odometer-density" and "precision" in cfg.raw and values is not None:
         try:
             precision = int(cfg.number("precision"))

@@ -172,6 +172,20 @@ def _sample_radius(space: Space, sample_radius):
     return sample_radius
 
 
+def _horizons(radii: list, domain_radius) -> list[int]:
+    """The properness domain windows, a quarter, a half and all of
+    ``domain_radius`` (by default 2 max R + 4) rounded up; the last is
+    the domain ball's radius."""
+    if domain_radius is None:
+        domain_radius = 2 * max(radii) + 4
+    if not math.isfinite(domain_radius):
+        raise ValueError("domain radius must be finite")
+    if domain_radius <= 0:
+        raise ValueError("domain radius must be > 0")
+    return sorted({math.ceil(domain_radius / 4), math.ceil(domain_radius / 2),
+                   math.ceil(domain_radius)})
+
+
 def _radii(radii) -> list:
     """Sorted radii; an empty, non-finite or repeated list is an error."""
     radii = sorted(radii)
@@ -335,14 +349,7 @@ def properness_table(
     requires every preimage to sit strictly inside the final window.
     """
     radii = _radii(radii)
-    if domain_radius is None:
-        domain_radius = 2 * max(radii) + 4
-    if not math.isfinite(domain_radius):
-        raise ValueError("domain radius must be finite")
-    if domain_radius <= 0:
-        raise ValueError("domain radius must be > 0")
-    horizons = sorted({math.ceil(domain_radius / 4), math.ceil(domain_radius / 2),
-                       math.ceil(domain_radius)})
+    horizons = _horizons(radii, domain_radius)
 
     pts = source.closed_ball(source.basepoint, horizons[-1])
     dist_src = distances_from(source, source.basepoint, pts)

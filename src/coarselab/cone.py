@@ -9,6 +9,16 @@ computable handle here is a weighted graph on a finite height grid
 whose shortest paths give an upper bound that decreases under grid
 refinement, reported together with the trivial vertical lower bound so
 the discretization error stays visible.
+
+Full grid distances come from the one-height fold where it is sure to
+give a Dijkstra search's float bits: on a grid whose base edges all have
+one length and whose rows' horizontal steps are far enough apart (see
+``_HeightFold``), some shortest path does all its horizontal travel at
+one height, and the least over heights of each such path's left-to-right
+sum is the distance.  Searches that stop at a threshold (``_near``,
+``closed_ball``, the compactification diagnostic) and full distances on
+every other grid run a bounded or full Dijkstra search,
+``ConeSpace._row_blocks``.
 """
 
 from __future__ import annotations
@@ -24,12 +34,13 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra, shortest_path
 
 from .coarse import rows_to_csv
-from .spaces import DEFAULT_CAP, ModelMismatch, Space, _check_radius
+from .spaces import BLOCK_PAIRS, DEFAULT_CAP, ModelMismatch, Space, _check_radius
 
 APEX = "*"
 
-# sources per Dijkstra call of ConeSpace._row_blocks, the one search
-# every cone distance reads: bounds the rows held in memory at once
+# sources per Dijkstra call of ConeSpace._row_blocks, the search behind
+# every cone distance the fold does not give: bounds the rows held in
+# memory at once
 _PAIRED_ROWS = 128
 
 
@@ -161,8 +172,7 @@ class ConeGrid:
                 raise ValueError(f"edge ({u}, {v}) has length {w}; lengths must be positive")
             pairs.add(frozenset((u, v)))
             norm_edges.append((u, v, float(w)))
-        ends = np.array([(index[u], index[v]) for u, v, _ in norm_edges], dtype=np.intp)
-        graph = _undirected(len(nodes), ends.reshape(-1, 2).T, [w for _, _, w in norm_edges])
+        graph = _undirected(len(nodes), _edge_ends(index, norm_edges), [w for *_, w in norm_edges])
         dist = shortest_path(graph, method="D", directed=False)
         if np.isinf(dist).any():
             raise ValueError("base graph is disconnected")
@@ -175,6 +185,14 @@ class ConeGrid:
     @cached_property
     def height_index(self) -> dict[float, int]:
         return {t: i for i, t in enumerate(self.heights)}
+
+    @cached_property
+    def hops(self) -> np.ndarray:
+        """[u, v] -> the fewest base edges on a path from node u to node v,
+        from an unweighted search."""
+        ends = _edge_ends(self.node_index, self.edges)
+        graph = _undirected(len(self.nodes), ends, np.ones(ends.shape[1]))
+        return shortest_path(graph, directed=False, unweighted=True).astype(np.intp)
 
     def base_dist(self, u: str, v: str) -> float:
         return float(self.base_distance[self.node_index[u], self.node_index[v]])
@@ -226,17 +244,137 @@ def canonical_cone_point(p) -> tuple[str, float]:
     return (str(node), t)
 
 
+def _edge_ends(index: dict[str, int], edges) -> np.ndarray:
+    """The node numbers of each edge's ends, one column per edge."""
+    return np.array([(index[u], index[v]) for u, v, _ in edges], dtype=np.intp).reshape(-1, 2).T
+
+
 def _undirected(n: int, ends, weights) -> csr_matrix:
     """Adjacency of the edges ends[0][k] -- ends[1][k], stored both ways."""
     (i, j), w = ends, np.asarray(weights, dtype=float)
     return csr_matrix((np.r_[w, w], (np.r_[i, j], np.r_[j, i])), shape=(n, n))
 
 
+def _fold_runs(acc, counts, table, first, stride=0) -> np.ndarray:
+    """``acc`` plus ``table[first + j * stride]`` for j = 0 .. counts - 1,
+    entry by entry, one float addition at a time and in that order: the
+    left-to-right sum that a Dijkstra search forms along a path."""
+    order = np.argsort(counts)[::-1]  # longest runs first: the running entries are a prefix
+    acc, first = acc[order], first[order]
+    stride = np.broadcast_to(stride, order.shape)[order]
+    running = len(order) - np.searchsorted(np.sort(counts), np.arange(counts.max(initial=0)),
+                                           side="right")
+    for j, n in enumerate(running):
+        acc[:n] += table[first[:n] + j * stride[:n]]
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _HeightFold:
+    """Full grid distances without a graph search, on a grid whose base
+    edges all have one length w.
+
+    A horizontal edge at row h costs ``step[h]`` = lambda(h) * w, so some
+    shortest path does all its horizontal travel at one row h: from the
+    source row to h, then k base edges (the nodes' hop count; 0 when
+    either end is the apex), then to the target row.  With positive
+    weights Dijkstra returns the least left-to-right float sum over all
+    paths, because fl(a + x) never decreases as a grows.  So folding each
+    one-row path in path order and taking the least over h gives
+    Dijkstra's bits, wherever no other path can reach below those folds
+    (``build`` declines the grids where one might).
+    """
+
+    step: np.ndarray   # lambda(t) * w per row, 0 on the apex row
+    rise: np.ndarray   # vertical edge lengths, np.diff(heights)
+    climb: np.ndarray  # [a, h]: the fold from 0 of the rises from row a to row h, in path order
+    hops: np.ndarray   # base hop counts
+    margin: float      # a row whose estimate exceeds the least by more is not folded
+
+    @staticmethod
+    def build(grid: ConeGrid, lambdas: np.ndarray) -> "_HeightFold | None":
+        """The tables, or None unless the fold is sure to give Dijkstra's
+        bits.
+
+        Let delta be the least gap between two row steps (the apex's 0
+        among them) or twice the least rise.  Take a path that is not a
+        folded one-row path.  If it reaches the apex, compare it with the
+        apex row's fold; otherwise with the fold at the row of least step
+        among those where it moves across.  Each horizontal edge at
+        another row, base edge past k or vertical edge past the monotone
+        ones makes it longer, in exact arithmetic, by at least delta; with
+        none of them it adds the fold's terms in the fold's order.
+
+        A float sum of m positive terms is off its exact value X by at
+        most m u / (1 - m u) X, u = 2^-53.  No distance exceeds the apex
+        route's 2 * top, and a path longer than 4 * top has a prefix of at
+        most ``reach`` = 4 * top + the longest edge that already sums past
+        that route; so only sums of at most reach / (shortest edge) terms
+        matter, each off by at most ``slack``.  The fold applies when
+        delta > 2 * slack.  A flat lambda ties the steps of two rows, and
+        with them one-row and two-row paths, so delta is 0 there.
+        """
+        if len({w for *_, w in grid.edges}) != 1:
+            return None
+        step = lambdas * grid.edges[0][2]  # the product _graph gives each horizontal edge
+        rise = np.diff(grid.heights)
+        levels = np.sort(step)
+        delta = min(np.diff(levels).min(), 2 * rise.min())
+        if not (np.isfinite(levels).all() and delta > 0):
+            return None
+        reach = 4 * grid.heights[-1] + max(rise.max(), levels[-1])
+        # a sum within reach has at most reach / (shortest edge) + 1
+        # terms, and an estimate rounds three more times
+        bound = (reach / min(rise.min(), levels[1]) + 4) * 2.0 ** -53
+        slack = bound / (1 - bound) * reach
+        if not (bound < 1 / 3 and delta > 2 * slack):  # 1/3: the prefix above outgrows the apex
+            return None
+        climb = np.zeros((len(step), len(step)))
+        for h in range(1, len(step)):  # rows below h reach h over rise[h - 1] last
+            climb[:h, h] = climb[:h, h - 1] + rise[h - 1]
+        for h in range(len(step) - 2, -1, -1):  # rows above h reach h over rise[h] last
+            climb[h + 1:, h] = climb[h + 1:, h + 1] + rise[h]
+        # an estimate and a fold of the same row are each within slack of
+        # its exact length, so a row estimated more than 4 * slack above
+        # the least estimate folds above that row's fold
+        return _HeightFold(step, rise, climb, grid.hops, 4 * slack)
+
+    def __call__(self, src, dst) -> np.ndarray:
+        """Distances between the point numbers ``src`` and ``dst``,
+        broadcast, in chunks of ``BLOCK_PAIRS`` pairs x rows."""
+        shape = np.broadcast_shapes(np.shape(src), np.shape(dst))
+        src, dst = np.broadcast_to(src, shape), np.broadcast_to(dst, shape)
+        out = np.empty(shape)
+        flat = out.reshape(-1)
+        chunk = max(1, BLOCK_PAIRS // len(self.step))
+        for lo in range(0, flat.size, chunk):
+            flat[lo:lo + chunk] = self._pairs(src.flat[lo:lo + chunk], dst.flat[lo:lo + chunk])
+        return out
+
+    def _pairs(self, src, dst) -> np.ndarray:
+        (rs, ns), (rt, nt) = (np.divmod(p - 1, len(self.hops)) for p in (src, dst))
+        rs, rt = rs + 1, rt + 1  # the apex, point 0, falls in row 0
+        k = np.where((rs > 0) & (rt > 0), self.hops[ns, nt], 0)
+        est = self.climb[rs] + self.climb[rt] + k[:, None] * self.step
+        pair, h = np.nonzero(est <= est.min(axis=1, keepdims=True) + self.margin)
+        acc = _fold_runs(self.climb[rs[pair], h], k[pair], self.step, h)
+        to = rt[pair] - h
+        acc = _fold_runs(acc, np.abs(to), self.rise, np.where(to > 0, h, h - 1), np.sign(to))
+        return np.minimum.reduceat(acc, np.flatnonzero(np.diff(pair, prepend=-1)))
+
+
 @dataclass(frozen=True, eq=False)
 class ConeSpace(Space):
     """Space handle over a cone grid; distance is the shortest-path
     metric of the weighted grid graph (an upper bound for the cone
-    metric, exact as a metric on grid points)."""
+    metric, exact as a metric on grid points).
+
+    Full distances fold one-height paths (``_fold``) on uniform-edge
+    grids with distinct row steps; threshold searches, and full
+    distances on other grids, read Dijkstra rows (``_row_blocks``).  Both
+    give the same float bits."""
 
     grid: ConeGrid
     lam: LambdaFunction
@@ -264,6 +402,10 @@ class ConeSpace(Space):
         return {p: i for i, p in enumerate(self._points)}
 
     @cached_property
+    def _lambdas(self) -> np.ndarray:
+        return np.array([self.lam(t) for t in self.grid.heights])
+
+    @cached_property
     def _graph(self) -> csr_matrix:
         """Grid graph over the ``grid_points`` numbering: vertical edges
         cost the height change, horizontal ones lambda(t) * w.  A cell
@@ -271,15 +413,19 @@ class ConeSpace(Space):
         then across at the lower-lambda row costs dt + min lambda * w, so
         no shortest path needs one and the graph carries none."""
         grid, num = self.grid, self.grid.point_numbers
-        lam = np.array([self.lam(t) for t in grid.heights])
         dt = np.diff(grid.heights)[:, None]
-        u, v = np.array([(grid.node_index[a], grid.node_index[b]) for a, b, _ in grid.edges],
-                        dtype=np.intp).reshape(-1, 2).T
+        u, v = _edge_ends(grid.node_index, grid.edges)
         w = np.array([e[2] for e in grid.edges])
         vertical = (num[:-1], num[1:], np.broadcast_to(dt, num[1:].shape))  # apex row included
-        horizontal = (num[1:, u], num[1:, v], lam[1:, None] * w)
+        horizontal = (num[1:, u], num[1:, v], self._lambdas[1:, None] * w)
         i, j, lengths = (np.r_[a.ravel(), b.ravel()] for a, b in zip(vertical, horizontal))
         return _undirected(len(self._points), (i, j), lengths)
+
+    @cached_property
+    def _fold(self) -> "_HeightFold | None":
+        """The one-height fold's tables, or None where the fold may not
+        give Dijkstra's bits (see ``_HeightFold.build``)."""
+        return _HeightFold.build(self.grid, self._lambdas)
 
     def _indices(self, ps) -> np.ndarray:
         return np.array([self._point_index[self.validate(p)] for p in ps], dtype=np.intp)
@@ -300,6 +446,9 @@ class ConeSpace(Space):
 
     def _distances_at(self, ps, limit=math.inf):
         idx = self._indices(ps)
+        fold = self._fold if limit == math.inf else None
+        if fold is not None:
+            return lambda i, j: fold(idx[i], idx[j])
 
         def dist(i, j):
             src, dst = idx[i], idx[j]
@@ -353,12 +502,6 @@ def lambda_length(grid: ConeGrid, lam: LambdaFunction, path: Sequence) -> float:
         if s != 0.0 and t != 0.0:
             total += max(lam(s), lam(t)) * grid.base_dist(u, v)
     return total
-
-
-def cone_distance_upper(grid: ConeGrid, lam: LambdaFunction, p, q) -> float:
-    """Shortest grid-path length: an upper bound for the cone distance,
-    non-increasing under height-grid refinement."""
-    return ConeSpace(grid, lam).distance(p, q)
 
 
 def cone_distance_lower(p, q) -> float:

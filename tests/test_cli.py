@@ -435,6 +435,17 @@ FAILURE_CONFIGS = {
         "diagnostic: window radius is smaller than the largest ball "
         "(window_radius = 2, balls = 5)",
     ),
+    "f2-default-domain-over-cap-validate": (
+        "validate", "experiment = verify-coarse\nspace = F2\naction = right-multiply\nby = ab\n",
+        2, False,
+        "diagnostic: domain ball B(e, 20) would hold 6973568801 points, over the cap of 1000000",
+    ),
+    "tree-sample-over-cap-validate": (
+        "validate", "experiment = verify-coarse\nspace = tree\naction = odometer\n"
+        "sample_radius = 20\ndomain_radius = 4\n",
+        2, False,
+        "diagnostic: sample ball B(*, 20) would hold 2097151 points, over the cap of 1000000",
+    ),
     "window-not-a-number-validate": (
         "validate", _NEGATIVE_BALL.replace("-1, 2", "5\nwindow_radius = x"), 2, False,
         "diagnostic: invalid numeric value for 'window_radius'",

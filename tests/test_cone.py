@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from coarselab.cone import (
     LambdaFunction,
     compactification_diagnostic,
     cone_distance_lower,
-    cone_distance_upper,
     cycle_graph,
     geometric_heights,
     lambda_length,
@@ -150,9 +150,9 @@ def test_lambda_length_errors():
 
 def test_upper_distance_examples():
     grid = two_point_grid()
-    assert cone_distance_upper(grid, LINEAR, ("x", 4.0), ("x", 4.0)) == 0.0
-    assert cone_distance_upper(grid, LINEAR, ("x", 5.0), ("x", 9.0)) == 4.0
-    assert cone_distance_upper(grid, LINEAR, ("x", 4.0), ("y", 4.0)) == 4.0
+    assert ConeSpace(grid, LINEAR).distance(("x", 4.0), ("x", 4.0)) == 0.0
+    assert ConeSpace(grid, LINEAR).distance(("x", 5.0), ("x", 9.0)) == 4.0
+    assert ConeSpace(grid, LINEAR).distance(("x", 4.0), ("y", 4.0)) == 4.0
 
 
 def test_apex_identification():
@@ -271,9 +271,25 @@ def test_kernel_gathers_any_broadcast_across_blocks():
     # sources along one, two non-adjacent or a trailing axis, targets
     # spread along the same or other axes, repeats: every entry is the
     # full table's, however the request splits into Dijkstra blocks
-    grid = ConeGrid.build(*cycle_graph(16), geometric_heights(64))
-    sp = ConeSpace(grid, LINEAR)
-    pts = grid.grid_points()
+    _check_broadcast_gathers(ConeSpace(ConeGrid.build(*cycle_graph(16), geometric_heights(64)), LINEAR))
+
+
+def test_search_kernel_gathers_any_broadcast_across_blocks():
+    # one longer edge turns the fold down, so full distances take the
+    # Dijkstra blocks too
+    sp = ConeSpace(ConeGrid.build(*_cycle_with_a_long_edge(16), geometric_heights(64)), LINEAR)
+    assert sp._fold is None
+    _check_broadcast_gathers(sp)
+
+
+def _cycle_with_a_long_edge(n):
+    """An n-cycle of unit edges but one of length 1.5."""
+    nodes, edges = cycle_graph(n)
+    return nodes, edges[:-1] + (edges[-1][:2] + (1.5,),)
+
+
+def _check_broadcast_gathers(sp):
+    pts = sp.grid.grid_points()
     full = sp.pairwise(pts, pts)
     dist = sp._distances_at(pts)
     rng = np.random.default_rng(5)
@@ -353,6 +369,97 @@ def test_threshold_searches_match_full_distances(tag, data):
     row = sp.pairwise([c], pts)[0]
     r = max(_boundary_radius(data, row), 0.0)
     assert sp.closed_ball(c, r) == [q for q, d in zip(pts, row) if d <= r]
+
+
+# ---------------------------------------------------------------------------
+# full distances by the one-height fold, against Dijkstra rows
+
+CYCLE16_EDGES = Path(__file__).resolve().parent.parent / "configs" / "cycle16.edges"
+
+
+def _dijkstra_table(sp: ConeSpace) -> np.ndarray:
+    """All grid distances read off full ``_row_blocks`` rows: the oracle."""
+    return np.vstack([rows for _, rows in sp._row_blocks(np.arange(len(sp._points)))])
+
+
+@st.composite
+def _fold_spaces(draw):
+    """A cone space whose base edges share one length, with its lambda's
+    kind: linear, sqrt, a non-monotone table of distinct values, or a
+    table that is flat over the rows at or above height 1."""
+    if draw(st.booleans()):
+        base = cycle_graph(draw(st.integers(3, 40)), draw(st.sampled_from([1, 0.7, 1 / 3, 0.1, 2.5])))
+    else:
+        base = load_edge_list(CYCLE16_EDGES.read_text())
+    extra = draw(st.lists(st.sampled_from([0.5, 1.5, 2.0, 3.0, 5.0, 6.0, 10.0, 12.0]), max_size=4))
+    heights = geometric_heights(draw(st.sampled_from([2, 8, 16])), draw(st.integers(1, 4)), extra)
+    kind = draw(st.sampled_from(["linear", "sqrt", "table", "flat"]))
+    if kind == "table":
+        values = draw(st.permutations([0.25 * (i + 1) for i in range(len(heights) - 1)]))
+        lam = LambdaFunction.from_table([(0, 0), *zip(heights[1:], values)])
+    elif kind == "flat":
+        lam = LambdaFunction.from_table([(0, 0), (1, 1), (heights[-1], 1)])
+    else:
+        lam = {"linear": LINEAR, "sqrt": LambdaFunction.sqrt()}[kind]
+    return ConeSpace(ConeGrid.build(*base, heights), lam), kind
+
+
+@given(case=_fold_spaces(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_fold_matches_dijkstra_rows_bit_for_bit(case, data):
+    # Dijkstra's float sums are what criterion 10 digests, so equal
+    # within a tolerance is not enough; a flat lambda ties one-row paths
+    # with paths across two rows and must take the search
+    sp, kind = case
+    assert (sp._fold is None) == (kind == "flat")
+    oracle = _dijkstra_table(sp)
+    pts = sp._points
+    assert np.array_equal(sp.pairwise(pts, pts), oracle)
+    n = len(pts)
+    i = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=50)))
+    j = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=len(i), max_size=len(i))))
+    ps, qs = [pts[a] for a in i], [pts[b] for b in j]
+    assert np.array_equal(sp.paired(ps, qs), oracle[i, j])
+    assert [sp.distance(p, q) for p, q in zip(ps[:5], qs[:5])] == oracle[i[:5], j[:5]].tolist()
+
+
+@pytest.mark.parametrize("n, w, top, per_octave", [(6, 1, 16, 4), (12, 1 / 3, 8, 2)])
+def test_fold_matches_dijkstra_rows_where_rows_nearly_tie(n, w, top, per_octave):
+    # linear lambda on geometric heights puts one-row paths at different
+    # rows within rounding of each other, so the fold's pruning margin
+    # must keep every row that can win
+    sp = ConeSpace(ConeGrid.build(*cycle_graph(n, w), geometric_heights(top, per_octave)), LINEAR)
+    assert sp._fold is not None
+    assert np.array_equal(sp.pairwise(sp._points, sp._points), _dijkstra_table(sp))
+
+
+def test_fold_declines_mixed_edge_lengths():
+    for lam in (LINEAR, LambdaFunction.sqrt()):
+        sp = _chorded_hexagon_space(lam)
+        assert sp._fold is None
+        assert np.array_equal(sp.pairwise(sp._points, sp._points), _dijkstra_table(sp))
+    grid = ConeGrid.build(*_cycle_with_a_long_edge(6), geometric_heights(8))
+    assert ConeSpace(grid, LINEAR)._fold is None
+    assert ConeSpace(ConeGrid.build(*cycle_graph(6), geometric_heights(8)), LINEAR)._fold is not None
+
+
+def test_finite_limits_keep_the_search(monkeypatch):
+    # _near and closed_ball stop the search at their radius; the fold
+    # answers only unlimited requests
+    sp = ConeSpace(ConeGrid.build(*cycle_graph(8), geometric_heights(8)), LINEAR)
+    assert sp._fold is not None
+    calls, search = [], ConeSpace._row_blocks
+
+    def spy(self, sources, limit=math.inf):
+        calls.append(limit)
+        return search(self, sources, limit)
+
+    monkeypatch.setattr(ConeSpace, "_row_blocks", spy)
+    sp.paired([("1", 2.0)], [("5", 4.0)])
+    assert calls == []
+    sp._near([("1", 2.0)], [("5", 4.0)], 3.0)
+    sp.closed_ball(("1", 2.0), 3.0)
+    assert calls == [3.0, 3.0]
 
 
 # ---------------------------------------------------------------------------

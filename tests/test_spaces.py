@@ -238,6 +238,14 @@ def test_listed_balls_keep_the_search_cap(space, r):
     )
 
 
+@pytest.mark.parametrize("space", [F2, T2], ids=["F2", "T2"])
+def test_ball_size_counts_the_ball(space):
+    # validate predicts verify-coarse's balls against the cap from _ball_size
+    for r in range(8):
+        assert space._ball_size(r) == len(_searched_ball(space, space.basepoint, r))
+        assert space._ball_size(r) == len(space.closed_ball(space.basepoint, r))
+
+
 @pytest.mark.parametrize("generators", [("ab", "b"), ("a", "bab")])
 def test_custom_free_group_balls_come_from_the_search(generators):
     space = FreeGroupSpace(generators=generators)
