@@ -28,7 +28,6 @@ from .coarse import (
     INCONCLUSIVE,
     REFUTED,
     CoarseReport,
-    ControlledSetSpec,
     HigsonDefectTable,
     bornologous_profile,
     closeness_bound,

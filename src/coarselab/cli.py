@@ -29,16 +29,18 @@ from .spaces import (
     BallSpec,
     BinaryTreeSpace,
     CapExceeded,
+    ConfigError,
     FreeGroupSpace,
     LatticeSpace,
     Space,
     _as_int_radius,
-    parse_space_name,
+    _number,
+    _PrefixSpace,
+    config_count,
+    config_number,
+    config_numbers,
     space_from_config,
 )
-
-class ConfigError(ValueError):
-    pass
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -63,19 +65,6 @@ def load_config(path) -> "ExperimentConfig":
     return ExperimentConfig(raw=parse_config_text(text), source=str(path))
 
 
-def _number(text: str) -> Fraction:
-    """Exact numeric literal: int, fraction 'p/q', power '2^-8', decimal."""
-    text = text.strip()
-    if "^" in text:
-        base, exp = text.split("^", 1)
-        return Fraction(base) ** int(exp)
-    return Fraction(text)
-
-
-def _number_list(text: str) -> list[Fraction]:
-    return [_number(part) for part in text.split(",") if part.strip()]
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     raw: dict[str, str]
@@ -97,30 +86,29 @@ class ExperimentConfig:
         return self.raw[key]
 
     def number(self, key: str, default=None) -> Fraction:
-        if key not in self.raw:
-            if default is None:
-                raise ConfigError(f"missing required numeric field {key!r}")
-            return Fraction(default)
-        try:
-            return _number(self.raw[key])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"invalid numeric value for {key!r}: {exc}") from exc
+        return config_number(self.raw, key, default)
+
+    def count(self, key: str, default=None) -> int:
+        return config_count(self.raw, key, default)
 
     def optional_number(self, key: str) -> float | None:
         return float(self.number(key)) if key in self.raw else None
 
     def numbers(self, key: str, default: str | None = None) -> list[Fraction]:
-        text = self.raw.get(key, default)
-        if text is None:
-            raise ConfigError(f"missing required list field {key!r}")
+        return config_numbers(self.raw, key, default)
+
+    def checked_numbers(self, key: str, check, default: str | None = None) -> list:
+        """The numeric list under ``key`` as the certifier's ``check``
+        returns it; a failed check names the key and its text."""
+        values = [float(v) for v in self.numbers(key, default)]
         try:
-            return _number_list(str(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"invalid numeric list for {key!r}: {exc}") from exc
+            return check(values)
+        except ValueError as exc:
+            raise ConfigError(f"{exc} ({key} = {self.get(key, default)})") from exc
 
     @property
     def seed(self) -> int:
-        return int(self.raw.get("seed", 0))
+        return self.count("seed", 0)
 
 
 @dataclass(frozen=True)
@@ -172,12 +160,9 @@ def parse_point(space: Space, text: str):
         if text == "apex":
             return space.basepoint
         node, height = text.split("@")
-        return space.validate((node, float(Fraction(height))))
+        return space.validate((node, float(_number(height))))
     raise ConfigError(f"cannot parse a point for model {space.model!r}")
 
-
-# rotate reads node names as positions 0..n-1 around a base_cycle cone
-_ROTATE_NEEDS_CYCLE = "action 'rotate' needs a cone built from 'base_cycle'"
 
 # action -> the space class it acts on
 _ACTS_ON = {
@@ -219,9 +204,10 @@ def build_action(cfg: ExperimentConfig, space: Space) -> actions.ActionSpec:
     if name == "odometer":
         return actions.iterated_map_action(odometer.odometer_step, "odometer")
     if name == "rotate":
+        # rotate reads node names as positions 0..n-1 around a base_cycle cone
         if "base_cycle" not in cfg.raw:
-            raise ConfigError(_ROTATE_NEEDS_CYCLE)
-        step = int(cfg.get("step", 1))
+            raise ConfigError("action 'rotate' needs a cone built from 'base_cycle'")
+        step = cfg.count("step", 1)
         n = len(space.grid.nodes)
 
         def rot(p):
@@ -235,120 +221,144 @@ def build_action(cfg: ExperimentConfig, space: Space) -> actions.ActionSpec:
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies; each returns (verdicts, {output file: text}, refuted?)
+# experiment readers.  Each reads and checks every key of its kind, builds
+# the space, the action, the function and the start points, and returns
+# the computation: a closure that calls the certifier and gives (verdicts,
+# {output file: text}); a verdict that reads "refuted" refutes the run.
+# validate and run share them.
 
 
-_DEFAULT_RADII = "1,2,4,8"
+def _start(cfg: ExperimentConfig, space: Space):
+    start = cfg.get("start")
+    return space.basepoint if start is None else parse_point(space, start)
 
 
-def _run_verify_coarse(cfg: ExperimentConfig):
+def _over_cap_balls(space: _PrefixSpace, radii: list, sample_radius, domain_radius):
+    """verify-coarse on the standard F2 or tree: raise for the sample and
+    domain balls about the root that would hold more points than the cap,
+    from the ball sizes the enumeration checks against it."""
+    balls = {
+        "sample ball": coarse._sample_radius(space, sample_radius),
+        "domain ball": coarse._horizons(radii, domain_radius)[-1],
+    }
+    over = []
+    for name, r in balls.items():
+        size = space._ball_size(_as_int_radius(r))
+        if size > space.cap:
+            over.append(f"{name} B({space.format_point(space.basepoint)}, {r:g}) would hold "
+                        f"{size} points, over the cap of {space.cap}")
+    if over:
+        raise ConfigError("; ".join(over))
+
+
+def _verify_coarse(cfg: ExperimentConfig):
     space = space_from_config(cfg.raw)
     action = build_action(cfg, space)
-    radii = [float(r) for r in cfg.numbers("radii", _DEFAULT_RADII)]
-    verification = actions.verify_coarse_action(
-        action, space, radii, cfg.optional_number("sample_radius"),
-        cfg.optional_number("domain_radius"),
-    )
-    return (
-        {"action": verification.verdict},
-        {"report.csv": verification.to_csv(),
-         "report.json": _json(verification.to_json_dict())},
-        verification.verdict == REFUTED,
-    )
+    radii = cfg.checked_numbers("radii", coarse._radii, "1,2,4,8")
+    sample_radius = cfg.optional_number("sample_radius")
+    domain_radius = cfg.optional_number("domain_radius")
+    if isinstance(space, _PrefixSpace) and space.standard:
+        _over_cap_balls(space, radii, sample_radius, domain_radius)
+
+    def compute():
+        report = actions.verify_coarse_action(action, space, radii, sample_radius, domain_radius)
+        return {"action": report.verdict}, {
+            "report.csv": report.to_csv(), "report.json": _json(report.to_json_dict())}
+
+    return compute
 
 
-def _run_closeness(cfg: ExperimentConfig):
+def _closeness(cfg: ExperimentConfig):
     space = space_from_config(cfg.raw)
     action = build_action(cfg, space)
     if action.semigroup != "N":
         raise ConfigError("closeness needs an iterated action (one map)")
-    report = coarse.closeness_bound(
-        action.step, lambda p: p, space, cfg.optional_number("sample_radius")
-    )
-    return (
-        {"close": report.verdict},
-        {"report.csv": report.to_csv(), "report.json": _json(report.to_json_dict())},
-        False,
-    )
+    sample_radius = cfg.optional_number("sample_radius")
+
+    def compute():
+        report = coarse.closeness_bound(action.step, lambda p: p, space, sample_radius)
+        return {"close": report.verdict}, {
+            "report.csv": report.to_csv(), "report.json": _json(report.to_json_dict())}
+
+    return compute
 
 
-def _run_orbit(cfg: ExperimentConfig):
+def _orbit(cfg: ExperimentConfig):
     space = space_from_config(cfg.raw)
     action = build_action(cfg, space)
-    horizon = int(cfg.number("horizon"))
-    start = cfg.get("start")
-    x0 = space.basepoint if start is None else parse_point(space, start)
-    record = actions.orbit(action, space, x0, horizon)
-    return (
-        {"orbit_size": len(record.points), "max_displacement": record.max_displacement},
-        {"escape_profile.csv": record.escape_profile_csv(),
-         "orbit.json": _json(record.to_json_dict(space))},
-        False,
-    )
+    horizon = cfg.count("horizon")
+    x0 = _start(cfg, space)
+
+    def compute():
+        record = actions.orbit(action, space, x0, horizon)
+        return (
+            {"orbit_size": len(record.points), "max_displacement": record.max_displacement},
+            {"escape_profile.csv": record.escape_profile_csv(),
+             "orbit.json": _json(record.to_json_dict(space))},
+        )
+
+    return compute
 
 
-def _run_fixed_point(cfg: ExperimentConfig):
+def _fixed_point(cfg: ExperimentConfig):
     space = space_from_config(cfg.raw)
     action = build_action(cfg, space)
-    horizon = int(cfg.number("horizon"))
+    horizon = cfg.count("horizon")
+    x0 = _start(cfg, space)
     mode = cfg.get("mode", "finite")
-    start = cfg.get("start")
-    x0 = space.basepoint if start is None else parse_point(space, start)
     if mode == "finite":
-        result = actions.detect_coarse_fixed_point_finite(action, space, x0, horizon)
+        detect = lambda: actions.detect_coarse_fixed_point_finite(action, space, x0, horizon)
     elif mode == "isometry":
-        radius = float(cfg.number("ball_radius"))
-        min_returns = int(cfg.number("min_returns", 50))
-        result = actions.detect_coarse_fixed_point_isometry(
-            action, space, x0, BallSpec(x0, radius), horizon,
-            min_returns=min_returns, seed=cfg.seed,
+        ball = BallSpec(x0, float(cfg.number("ball_radius")))
+        min_returns = cfg.count("min_returns", 50)
+        seed = cfg.seed
+        detect = lambda: actions.detect_coarse_fixed_point_isometry(
+            action, space, x0, ball, horizon, min_returns=min_returns, seed=seed,
         )
     else:
         raise ConfigError(f"unknown fixed-point mode {mode!r}")
-    return ({"detector": result.status}, {"verdict.json": _json(result.to_json_dict(space))},
-            False)
+
+    def compute():
+        result = detect()
+        return {"detector": result.status}, {"verdict.json": _json(result.to_json_dict(space))}
+
+    return compute
 
 
-def _random_boundary_word(rng: random.Random, precision: int) -> BoundaryWord:
-    return BoundaryWord(tuple(rng.randrange(2) for _ in range(precision)))
-
-
-def _run_odometer_density(cfg: ExperimentConfig):
-    precision = int(cfg.number("precision"))
+def _odometer_density(cfg: ExperimentConfig):
+    precision = cfg.count("precision")
     epsilons = cfg.numbers("epsilons")
-    n_targets = int(cfg.number("targets", 10))
+    short = [f"insufficient precision: epsilon {eps} needs more than {precision} bits"
+             for eps in epsilons if odometer._precision_for(eps) >= precision]
+    if short:
+        raise ConfigError("; ".join(short))
+    n_targets = cfg.count("targets", 10)
     rng = random.Random(cfg.seed)
+    draw = lambda: BoundaryWord(tuple(rng.randrange(2) for _ in range(precision)))
     start_text = cfg.get("start")
-    if start_text:
-        start = BoundaryWord(tuple(int(b) for b in start_text))
-    else:
-        start = _random_boundary_word(rng, precision)
-    targets = [_random_boundary_word(rng, precision) for _ in range(n_targets)]
-    table = odometer.density_experiment(start, targets, epsilons)
-    ok = table.all_verified()
-    return (
-        {"density": "all-verified" if ok else "refuted", "rows": len(table.rows)},
-        {"density.csv": table.to_csv()},
-        not ok,
-    )
+    start = BoundaryWord(tuple(int(b) for b in start_text)) if start_text else draw()
+    targets = [draw() for _ in range(n_targets)]
+
+    def compute():
+        table = odometer.density_experiment(start, targets, epsilons)
+        verdict = "all-verified" if table.all_verified() else REFUTED
+        return {"density": verdict, "rows": len(table.rows)}, {"density.csv": table.to_csv()}
+
+    return compute
 
 
-def _run_cone_diagnostic(cfg: ExperimentConfig):
+def _cone_diagnostic(cfg: ExperimentConfig):
     space = space_from_config({**cfg.raw, "space": "cone"})
     r_e = float(cfg.number("entourage_radius"))
     heights = [float(t) for t in cfg.numbers("heights")]
     slack = float(cfg.number("slack", Fraction(1, 10)))
-    table = cone.compactification_diagnostic(space.grid, space.lam, r_e, heights, slack)
-    ok = table.all_passed()
-    return (
-        {"diagnostic": "all-passed" if ok else "refuted"},
-        {"diagnostic.csv": table.to_csv()},
-        not ok,
-    )
 
+    def compute():
+        table = cone.compactification_diagnostic(space.grid, space.lam, r_e, heights, slack)
+        verdict = "all-passed" if table.all_passed() else REFUTED
+        return {"diagnostic": verdict}, {"diagnostic.csv": table.to_csv()}
 
-# sin-coordinate reads a point's first coordinate
-_SIN_NEEDS_LATTICE = "function 'sin-coordinate' needs a lattice space (Z^k or N^k)"
+    return compute
 
 
 def _sin_log(space):
@@ -367,77 +377,59 @@ _FUNCTIONS = {
 }
 
 
-def _run_higson_defect(cfg: ExperimentConfig):
+def _higson_defect(cfg: ExperimentConfig):
     space = space_from_config(cfg.raw)
     fname = cfg.require("function")
     if fname not in _FUNCTIONS:
-        raise ConfigError(
-            f"unknown function {fname!r}; choose from {sorted(_FUNCTIONS)}"
-        )
+        raise ConfigError(f"unknown function {fname!r}; choose from {sorted(_FUNCTIONS)}")
+    # sin-coordinate reads a point's first coordinate
     if fname == "sin-coordinate" and not isinstance(space, LatticeSpace):
-        raise ConfigError(_SIN_NEEDS_LATTICE)
+        raise ConfigError("function 'sin-coordinate' needs a lattice space (Z^k or N^k)")
     f = _FUNCTIONS[fname](space)
     radius = float(cfg.number("entourage_radius"))
-    balls = [float(b) for b in cfg.numbers("balls")]
-    table = coarse.higson_defect(
-        f, space, radius, balls, window_radius=cfg.optional_number("window_radius"),
-        function_id=fname,
-    )
-    final = table.rows[-1].value if table.rows else 0.0
-    return ({"defect_at_largest_ball": final}, {"defect.csv": table.to_csv()}, False)
+    balls = cfg.checked_numbers("balls", coarse._balls)
+    window_radius = cfg.optional_number("window_radius")
+    if window_radius is not None:
+        try:
+            coarse._check_window(window_radius, balls)
+        except ValueError as exc:
+            raise ConfigError(f"{exc} (window_radius = {cfg.raw['window_radius']}, "
+                              f"balls = {cfg.raw['balls']})") from exc
+
+    def compute():
+        table = coarse.higson_defect(f, space, radius, balls, window_radius=window_radius,
+                                     function_id=fname)
+        final = table.rows[-1].value if table.rows else 0.0
+        return {"defect_at_largest_ball": final}, {"defect.csv": table.to_csv()}
+
+    return compute
 
 
-# experiment kind -> (body, config keys it cannot run without); validate
+# experiment kind -> (reader, config keys it cannot run without); validate
 # and run both read this table, and diagnostics list the kinds in its order
 _EXPERIMENTS = {
-    "verify-coarse": (_run_verify_coarse, ("space", "action")),
-    "closeness": (_run_closeness, ("space", "action")),
-    "orbit": (_run_orbit, ("space", "action", "horizon")),
-    "fixed-point": (_run_fixed_point, ("space", "action", "horizon")),
-    "odometer-density": (_run_odometer_density, ("precision", "epsilons")),
-    "cone-diagnostic": (_run_cone_diagnostic, ("entourage_radius", "heights")),
-    "higson-defect": (_run_higson_defect, ("space", "function", "entourage_radius", "balls")),
+    "verify-coarse": (_verify_coarse, ("space", "action")),
+    "closeness": (_closeness, ("space", "action")),
+    "orbit": (_orbit, ("space", "action", "horizon")),
+    "fixed-point": (_fixed_point, ("space", "action", "horizon")),
+    "odometer-density": (_odometer_density, ("precision", "epsilons")),
+    "cone-diagnostic": (_cone_diagnostic, ("entourage_radius", "heights")),
+    "higson-defect": (_higson_defect, ("space", "function", "entourage_radius", "balls")),
 }
 
-# kind -> the numeric-list key its body reads, with the default, if any,
-# and the certifier's check of the list, if any
-_LISTS = {
-    "verify-coarse": ("radii", _DEFAULT_RADII, coarse._radii),
-    "odometer-density": ("epsilons", None, None),
-    "cone-diagnostic": ("heights", None, None),
-    "higson-defect": ("balls", None, coarse._balls),
-}
-
+# what a reader or a computation raises when the config cannot run
+_RUN_ERRORS = (CapExceeded, MemoryError, ValueError)
 # a certifier's own re-check failed: the config was valid, the result is not
 _INTERNAL_CHECKS = (actions.IsometryViolation, AssertionError)
 
 
-def _over_cap_balls(cfg: ExperimentConfig, radii: list) -> list[str]:
-    """verify-coarse on the standard F2 or tree: the sample and domain
-    balls about the root that would hold more points than the cap, from
-    the ball sizes the enumeration checks against it.  A config the run
-    rejects for another reason gets no prediction."""
-    try:
-        space = space_from_config(cfg.raw)
-        balls = {
-            "sample ball": coarse._sample_radius(space, cfg.optional_number("sample_radius")),
-            "domain ball": coarse._horizons(radii, cfg.optional_number("domain_radius"))[-1],
-        }
-    except ValueError:
-        return []
-    if not space.standard:
-        return []
-    diags = []
-    for name, r in balls.items():
-        size = space._ball_size(_as_int_radius(r))
-        if size > space.cap:
-            diags.append(f"{name} B({space.format_point(space.basepoint)}, {r:g}) would hold "
-                         f"{size} points, over the cap of {space.cap}")
-    return diags
+def _error_text(exc: BaseException) -> str:
+    """A ConfigError's message alone; any other error with its class."""
+    return str(exc) if isinstance(exc, ConfigError) else f"{type(exc).__name__}: {exc}"
 
 
-def validate(cfg: ExperimentConfig) -> list[str]:
-    """Static diagnostics only; runs no computation."""
+def _missing(cfg: ExperimentConfig) -> list[str]:
+    """An unknown kind, or each required key the config lacks."""
     exp = cfg.experiment
     if not exp:
         return ["missing required field 'experiment'"]
@@ -446,58 +438,21 @@ def validate(cfg: ExperimentConfig) -> list[str]:
     required = _EXPERIMENTS[exp][1]
     if exp == "fixed-point" and cfg.get("mode", "finite") == "isometry":
         required += ("ball_radius",)
-    diags = [
-        f"{exp} experiment is missing required field {key!r}"
-        for key in required
-        if key not in cfg.raw
-    ]
-    model = None  # the model the space value names, once it parses
-    if "space" in required and "space" in cfg.raw:
-        try:
-            model = parse_space_name(cfg.raw["space"])[0]
-        except ValueError as exc:
-            diags.append(str(exc))
-    key, default, check = _LISTS.get(exp, (None, None, None))
-    values = None  # the kind's numeric list, once it parses
-    if key in cfg.raw or default is not None:
-        try:
-            values = cfg.numbers(key, default)
-        except ConfigError as exc:
-            diags.append(str(exc))
-    checked = None  # the list as the certifier reads it, once its check passes
-    if check is not None and values is not None:
-        try:
-            checked = check([float(v) for v in values])
-        except ValueError as exc:
-            diags.append(f"{exc} ({key} = {cfg.get(key, default)})")
-    if exp == "higson-defect" and "window_radius" in cfg.raw and checked is not None:
-        try:
-            coarse._check_window(float(cfg.number("window_radius")), checked)
-        except ValueError as exc:
-            diags.append(f"{exc} (window_radius = {cfg.raw['window_radius']}, "
-                         f"balls = {cfg.raw['balls']})")
-    if exp == "verify-coarse" and model in ("free-group", "binary-tree") and checked is not None:
-        diags += _over_cap_balls(cfg, checked)
-    if exp == "odometer-density" and "precision" in cfg.raw and values is not None:
-        try:
-            precision = int(cfg.number("precision"))
-            for eps in values:
-                if odometer._precision_for(eps) >= precision:
-                    diags.append(
-                        f"insufficient precision: epsilon {eps} needs more than "
-                        f"{precision} bits"
-                    )
-        except ValueError as exc:
-            diags.append(str(exc))
-    if exp == "cone-diagnostic" and not ("base_cycle" in cfg.raw or "base_edges" in cfg.raw):
-        diags.append("cone-diagnostic needs 'base_cycle' or 'base_edges'")
-    if ("action" in required and cfg.get("action", "").lower() == "rotate"
-            and "base_cycle" not in cfg.raw):
-        diags.append(_ROTATE_NEEDS_CYCLE)
-    if (exp == "higson-defect" and cfg.get("function") == "sin-coordinate"
-            and model not in (None, "lattice")):
-        diags.append(_SIN_NEEDS_LATTICE)
-    return diags
+    return [f"{exp} experiment is missing required field {key!r}"
+            for key in required if key not in cfg.raw]
+
+
+def validate(cfg: ExperimentConfig) -> list[str]:
+    """Every missing required key; else the error, if any, of the kind's
+    reader.  The reader builds the space but calls no certifier."""
+    missing = _missing(cfg)
+    if missing:
+        return missing
+    try:
+        _EXPERIMENTS[cfg.experiment][0](cfg)
+    except _RUN_ERRORS as exc:
+        return [_error_text(exc)]
+    return []
 
 
 def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
@@ -518,22 +473,20 @@ def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
         Path(cfg.source).stem if cfg.source != "<memory>" else cfg.experiment
     )
     started = time.monotonic()
-    problems = validate(cfg)
     error = None
     verdicts: dict = {}
     texts: dict[str, str] = {}
-    refuted = False
     failure = None
-    if problems:
-        error = "; ".join(problems)
+    missing = _missing(cfg)
+    if missing:
+        error = "; ".join(missing)
     else:
         try:
-            verdicts, texts, refuted = _EXPERIMENTS[cfg.experiment][0](cfg)
-        except (ConfigError, CapExceeded, MemoryError, ValueError) as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        except _INTERNAL_CHECKS as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            failure = exc
+            verdicts, texts = _EXPERIMENTS[cfg.experiment][0](cfg)()
+        except _RUN_ERRORS + _INTERNAL_CHECKS as exc:
+            error = _error_text(exc)
+            if isinstance(exc, _INTERNAL_CHECKS):
+                failure = exc
     for name, text in texts.items():
         _write_text(out / name, text)
     manifest = RunManifest(
@@ -541,7 +494,7 @@ def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
         source=cfg.source,
         version=__version__,
         wall_clock_seconds=time.monotonic() - started,
-        verdicts={**verdicts, "refuted": refuted},
+        verdicts={**verdicts, "refuted": REFUTED in verdicts.values()},
         outputs=list(texts),
         error=error,
     )

@@ -35,23 +35,6 @@ CSV_HEADER = ("property", "R_or_B", "value", "witness_src", "witness_dst")
 
 
 @dataclass(frozen=True)
-class ControlledSetSpec:
-    """The entourage E_R = {(x, y) : d(x, y) <= R} of the metric coarse
-    structure."""
-
-    radius: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.radius):
-            raise ValueError("entourage radius must be finite")
-        if self.radius < 0:
-            raise ValueError("entourage radius must be >= 0")
-
-    def contains(self, space: Space, p, q) -> bool:
-        return space.distance(p, q) <= self.radius
-
-
-@dataclass(frozen=True)
 class ScaleRow:
     scale: float
     value: float

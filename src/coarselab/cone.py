@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -34,7 +33,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra, shortest_path
 
 from .coarse import rows_to_csv
-from .spaces import BLOCK_PAIRS, DEFAULT_CAP, ModelMismatch, Space, _check_radius
+from .spaces import (BLOCK_PAIRS, DEFAULT_CAP, ConfigError, ModelMismatch, Space, _check_radius,
+                     _number, config_count, config_number, config_numbers)
 
 APEX = "*"
 
@@ -113,7 +113,10 @@ def load_edge_list(text: str) -> tuple[tuple[str, ...], tuple]:
         if len(parts) != 3:
             raise ValueError(f"bad edge line {raw!r}; expected 'node node length'")
         u, v, w = parts
-        length = float(Fraction(w))
+        try:
+            length = float(_number(w))
+        except ValueError as exc:
+            raise ValueError(f"bad edge length in {raw!r}: {exc}") from exc
         if length <= 0:
             raise ValueError(f"edge length must be positive: {raw!r}")
         for x in (u, v):
@@ -128,6 +131,8 @@ def geometric_heights(t_max: float, per_octave: int = 4,
     """Apex row plus 2^(i/per_octave) up to (and one step past) t_max."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
+    if per_octave < 1:
+        raise ValueError("per_octave must be >= 1")
     hs = {0.0}
     i = 0
     while True:
@@ -589,8 +594,8 @@ def cone_space_from_config(cfg: dict, cap: int = DEFAULT_CAP) -> ConeSpace:
     octave) plus any ``extra_heights``.  ``lam`` picks linear or sqrt.
     """
     if "base_cycle" in cfg:
-        n = int(cfg["base_cycle"])
-        nodes, edges = cycle_graph(n, float(Fraction(str(cfg.get("edge_length", 1)))))
+        edge_length = float(config_number(cfg, "edge_length", 1))
+        nodes, edges = cycle_graph(config_count(cfg, "base_cycle"), edge_length)
     elif "base_edges" in cfg:
         text = str(cfg["base_edges"])
         if "\n" not in text and text.endswith((".edges", ".txt")):
@@ -601,15 +606,12 @@ def cone_space_from_config(cfg: dict, cap: int = DEFAULT_CAP) -> ConeSpace:
                 raise ValueError(f"cannot read base_edges {text!r}: {exc.strerror}") from exc
         nodes, edges = load_edge_list(text)
     else:
-        raise ValueError("cone space needs 'base_cycle' or 'base_edges'")
-    t_max = float(cfg.get("height_max", 64))
-    per_octave = int(cfg.get("heights_per_octave", 4))
-    extra = []
-    if "extra_heights" in cfg:
-        extra = [float(Fraction(s.strip())) for s in str(cfg["extra_heights"]).split(",")]
-    heights = geometric_heights(t_max, per_octave, extra)
+        raise ConfigError("cone space needs 'base_cycle' or 'base_edges'")
+    extra = [float(t) for t in config_numbers(cfg, "extra_heights", "")]
+    heights = geometric_heights(float(config_number(cfg, "height_max", 64)),
+                                config_count(cfg, "heights_per_octave", 4), extra)
     lam_name = str(cfg.get("lam", "linear")).lower()
     if lam_name not in _LAMBDAS:
-        raise ValueError(f"unknown lambda choice {lam_name!r}")
+        raise ConfigError(f"unknown lambda choice {lam_name!r}")
     grid = ConeGrid.build(nodes, edges, heights)
     return ConeSpace(grid, _LAMBDAS[lam_name](), cap=cap)

@@ -43,6 +43,7 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 from operator import add
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -796,6 +797,55 @@ def word_metric_bfs_oracle(space: Space, r) -> dict:
 # configuration
 
 
+class ConfigError(ValueError):
+    """A config key that is missing, or whose value the library cannot read."""
+
+
+def _number(text) -> Fraction:
+    """Exact numeric literal: int, fraction 'p/q', power '2^-8', decimal.
+    Anything else raises ``ValueError``, a zero denominator included."""
+    text = str(text).strip()
+    try:
+        if "^" in text:
+            base, exp = text.split("^", 1)
+            return Fraction(base) ** int(exp)
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(str(exc)) from exc
+
+
+def config_number(cfg, key: str, default=None) -> Fraction:
+    """The numeric literal under ``key`` of a flat config mapping, or
+    ``default`` when the key is absent."""
+    if key not in cfg:
+        if default is None:
+            raise ConfigError(f"missing required numeric field {key!r}")
+        return Fraction(default)
+    try:
+        return _number(cfg[key])
+    except ValueError as exc:
+        raise ConfigError(f"invalid numeric value for {key!r}: {exc}") from exc
+
+
+def config_count(cfg, key: str, default=None) -> int:
+    """``config_number`` for a count: a fraction is an error, not truncated."""
+    value = config_number(cfg, key, default)
+    if value.denominator != 1:
+        raise ConfigError(f"invalid count for {key!r}: {cfg[key]} is not an integer")
+    return int(value)
+
+
+def config_numbers(cfg, key: str, default: str | None = None) -> list[Fraction]:
+    """The comma-separated numeric literals under ``key``."""
+    text = cfg.get(key, default)
+    if text is None:
+        raise ConfigError(f"missing required list field {key!r}")
+    try:
+        return [_number(part) for part in str(text).split(",") if part.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"invalid numeric list for {key!r}: {exc}") from exc
+
+
 def _parse_generators_lattice(text: str, rank: int) -> tuple[tuple[int, ...], ...]:
     gens = []
     for part in text.split(","):
@@ -813,21 +863,21 @@ _MODEL_NAMES = {"f2": "free-group", "tree": "binary-tree", "t2": "binary-tree",
 def parse_space_name(name) -> tuple[str, int, bool]:
     """The model a ``space`` value names, as (model, rank, signed); rank
     and signed describe Z^k / N^k and read 0, True elsewhere.  Reads the
-    name only and builds nothing; raises ``ValueError`` for a name no
+    name only and builds nothing; raises ``ConfigError`` for a name no
     model has."""
     low = str(name).strip().lower()
     if not low:
-        raise ValueError("missing required field 'space'")
+        raise ConfigError("missing required field 'space'")
     if low.startswith(("z^", "n^")) or low in ("z", "n"):
         try:
             rank = int(low[2:]) if "^" in low else 1
         except ValueError:
             rank = 0
         if rank < 1:
-            raise ValueError(f"lattice rank must be a positive integer: {name!r}")
+            raise ConfigError(f"lattice rank must be a positive integer: {name!r}")
         return "lattice", rank, low.startswith("z")
     if low not in _MODEL_NAMES:
-        raise ValueError(f"unknown space model {name!r}")
+        raise ConfigError(f"unknown space model {name!r}")
     return _MODEL_NAMES[low], 0, True
 
 
@@ -840,7 +890,7 @@ def space_from_config(cfg: dict) -> Space:
     delegated to :mod:`coarselab.cone` and use its grid keys.
     """
     model, rank, signed = parse_space_name(cfg.get("space", ""))
-    cap = int(cfg.get("cap", DEFAULT_CAP))
+    cap = config_count(cfg, "cap", DEFAULT_CAP)
     if model == "lattice":
         gens = None
         if "generators" in cfg:

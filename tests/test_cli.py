@@ -9,7 +9,6 @@ from coarselab.cli import (
     _EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
-    _number,
     build_action,
     load_config,
     main,
@@ -18,7 +17,13 @@ from coarselab.cli import (
     run,
     validate,
 )
-from coarselab.spaces import BinaryTreeSpace, FreeGroupSpace, LatticeSpace, space_from_config
+from coarselab.spaces import (
+    BinaryTreeSpace,
+    FreeGroupSpace,
+    LatticeSpace,
+    _number,
+    space_from_config,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -303,6 +308,19 @@ _PROPER_TRANSLATION = (
 
 _ORBIT_ON = "experiment = orbit\nspace = {}\naction = translate\nby = 1\nhorizon = 4\n"
 
+_CONE_DIAGNOSTIC = (
+    "experiment = cone-diagnostic\nbase_cycle = 8\n{}\nentourage_radius = 1\nheights = 2\n"
+)
+
+_BASE_CYCLE_2 = (
+    "experiment = cone-diagnostic\nbase_cycle = 2\nentourage_radius = 1\nheights = 2\n"
+)
+
+_ROTATE_ORBIT = (
+    "experiment = orbit\nspace = cone\nbase_cycle = 8\nheight_max = 2^4\naction = rotate\n"
+    "start = 0@4\nhorizon = 8\n"
+)
+
 _BALLS_1_0 = (
     "experiment = higson-defect\nspace = Z^1\nfunction = sin-log\n"
     "entourage_radius = 1\nballs = 2, 1/0\n"
@@ -337,12 +355,12 @@ FAILURE_CONFIGS = {
     ),
     "translate-on-cone-run": (
         "run", _TRANSLATE_CONE, 2, True,
-        "error: ConfigError: translate acts on a lattice space, not cone",
+        "error: translate acts on a lattice space, not cone",
     ),
     "left-multiply-on-lattice-run": (
         "run",
         "experiment = orbit\nspace = Z^1\naction = left-multiply\nby = a\nhorizon = 4\n",
-        2, True, "error: ConfigError: left-multiply acts on a free-group space, not lattice",
+        2, True, "error: left-multiply acts on a free-group space, not lattice",
     ),
     "translate-wrong-rank-run": (
         "run",
@@ -354,11 +372,7 @@ FAILURE_CONFIGS = {
         "experiment = orbit\nspace = F2\naction = right-multiply\nby = aA\nhorizon = 4\n",
         2, True, "error: ModelMismatch: expected a reduced word",
     ),
-    "base-cycle-2-run": (
-        "run",
-        "experiment = cone-diagnostic\nbase_cycle = 2\nentourage_radius = 1\nheights = 2\n",
-        2, True, "the base graph must be simple",
-    ),
+    "base-cycle-2-run": ("run", _BASE_CYCLE_2, 2, True, "the base graph must be simple"),
     "zero-edge-length-run": (
         "run",
         "experiment = cone-diagnostic\nbase_cycle = 8\nedge_length = 0\n"
@@ -450,6 +464,72 @@ FAILURE_CONFIGS = {
         "validate", _NEGATIVE_BALL.replace("-1, 2", "5\nwindow_radius = x"), 2, False,
         "diagnostic: invalid numeric value for 'window_radius'",
     ),
+    # validate reads each config as run does, so it rejects what run rejects
+    "unknown-function-validate": (
+        "validate", _NEGATIVE_BALL.replace("sin-log", "bogus"), 2, False,
+        "diagnostic: unknown function 'bogus'; choose from "
+        "['constant', 'sin-coordinate', 'sin-log']",
+    ),
+    "unknown-action-validate": (
+        "validate", _ORBIT_ON.format("Z^1").replace("translate", "bogus"), 2, False,
+        "diagnostic: unknown action 'bogus'",
+    ),
+    "unknown-mode-validate": (
+        "validate", _ORBIT_ON.format("Z^1").replace("orbit", "fixed-point") + "mode = bogus\n",
+        2, False, "diagnostic: unknown fixed-point mode 'bogus'",
+    ),
+    "unknown-lam-validate": (
+        "validate", _CONE_DIAGNOSTIC.format("lam = bogus"), 2, False,
+        "diagnostic: unknown lambda choice 'bogus'",
+    ),
+    "translate-z2-by-word-validate": (
+        "validate", _ORBIT_ON.format("Z^2").replace("by = 1", "by = ab"), 2, False,
+        "diagnostic: ValueError: invalid literal for int() with base 10: 'ab'",
+    ),
+    "translate-on-cone-validate": (
+        "validate", _TRANSLATE_CONE, 2, False,
+        "diagnostic: translate acts on a lattice space, not cone",
+    ),
+    "base-cycle-2-validate": (
+        "validate", _BASE_CYCLE_2, 2, False, "the base graph must be simple",
+    ),
+    "negative-ball-radius-validate": (
+        "validate", _ORBIT_ON.format("Z^1").replace("orbit", "fixed-point")
+        + "mode = isometry\nball_radius = -1\n",
+        2, False, "diagnostic: ValueError: radius must be >= 0",
+    ),
+    "seed-not-a-number-validate": (
+        "validate", "experiment = odometer-density\nprecision = 8\nepsilons = 2^-4\nseed = x\n",
+        2, False, "diagnostic: invalid numeric value for 'seed'",
+    ),
+    "cap-not-a-number-validate": (
+        "validate", _ORBIT_ON.format("Z^1") + "cap = x\n", 2, False,
+        "diagnostic: invalid numeric value for 'cap'",
+    ),
+    "fractional-horizon-validate": (
+        "validate", _ORBIT_ON.format("Z^1").replace("horizon = 4", "horizon = 5/2"), 2, False,
+        "diagnostic: invalid count for 'horizon': 5/2 is not an integer",
+    ),
+    "fractional-horizon-run": (
+        "run", _ORBIT_ON.format("Z^1").replace("horizon = 4", "horizon = 5/2"), 2, True,
+        "error: invalid count for 'horizon': 5/2 is not an integer",
+    ),
+    "heights-per-octave-0-validate": (
+        "validate", _CONE_DIAGNOSTIC.format("heights_per_octave = 0"), 2, False,
+        "diagnostic: ValueError: per_octave must be >= 1",
+    ),
+    # every numeric key reads the documented literals
+    "height-max-power-validate": ("validate", _ROTATE_ORBIT, 0, False, "ok"),
+    "height-max-power-run": ("run", _ROTATE_ORBIT, 0, True, "orbit_size: 8"),
+    # a zero denominator in a cone key is a config error, not a crash
+    "edge-length-1-0-run": (
+        "run", _CONE_DIAGNOSTIC.format("edge_length = 1/0"), 2, True,
+        "error: invalid numeric value for 'edge_length': Fraction(1, 0)",
+    ),
+    "extra-heights-1-0-run": (
+        "run", _CONE_DIAGNOSTIC.format("extra_heights = 1/0"), 2, True,
+        "error: invalid numeric list for 'extra_heights': Fraction(1, 0)",
+    ),
 }
 
 
@@ -476,6 +556,23 @@ def test_failure_configs(case, tmp_path, capsys):
             assert doc["error"] in printed and doc["outputs"] == []
 
 
+# no row here fails inside a certifier (the cone diagnostic's check of a
+# threshold above the grid top would): each fails in the kind's reader,
+# which validate calls too
+@pytest.mark.parametrize("case", [
+    case for case, (command, text, status, _, _) in FAILURE_CONFIGS.items()
+    if command == "run" and isinstance(text, str) and status == 2
+])
+def test_validate_agrees_with_run(case, tmp_path, capsys):
+    (tmp_path / "triangle.edges").write_text("x y 1\ny z 1\nz x 1\n")
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(FAILURE_CONFIGS[case][1].format(dir=tmp_path))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("error: ")
+    assert validate(load_config(cfg)) == [line[len("error: "):]]
+
+
 def test_main_batch_continues_after_config_error(tmp_path, capsys):
     batch = tmp_path / "batch"
     batch.mkdir()
@@ -485,9 +582,22 @@ def test_main_batch_continues_after_config_error(tmp_path, capsys):
     )
     assert main(["batch", str(batch), "--out", str(tmp_path / "out")]) == 2
     out = capsys.readouterr().out
-    assert "cone.cfg: error: ConfigError: translate acts on a lattice space" in out
+    assert "cone.cfg: error: translate acts on a lattice space" in out
     assert "walk.cfg: exit 0" in out
     for stem in ("cone", "walk"):
+        assert (tmp_path / "out" / stem / "manifest.json").exists()
+
+
+def test_main_batch_continues_after_zero_denominator(tmp_path, capsys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "a.cfg").write_text(_CONE_DIAGNOSTIC.format("edge_length = 1/0"))
+    (batch / "b.cfg").write_text(_ORBIT_ON.format("Z^1"))
+    assert main(["batch", str(batch), "--out", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr().out
+    assert "a.cfg: error: invalid numeric value for 'edge_length': Fraction(1, 0)" in out
+    assert "b.cfg: exit 0" in out
+    for stem in ("a", "b"):
         assert (tmp_path / "out" / stem / "manifest.json").exists()
 
 

@@ -13,7 +13,6 @@ from coarselab.coarse import (
     CERTIFIED,
     INCONCLUSIVE,
     REFUTED,
-    ControlledSetSpec,
     ScaleRow,
     _ball_entourage,
     _masked_max,
@@ -41,19 +40,6 @@ N1 = LatticeSpace(1, signed=False)
 N2 = LatticeSpace(2, signed=False)
 F2 = FreeGroupSpace()
 T2 = BinaryTreeSpace()
-
-
-def test_controlled_set_spec():
-    e = ControlledSetSpec(3)
-    assert e.contains(Z1, (0,), (3,))
-    assert not e.contains(Z1, (0,), (4,))
-    with pytest.raises(ValueError):
-        ControlledSetSpec(-1)
-    # a NaN radius would hold no pair, not even the diagonal; an infinite
-    # one bounds nothing
-    for radius in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            ControlledSetSpec(radius)
 
 
 # ---------------------------------------------------------------------------

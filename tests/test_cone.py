@@ -62,6 +62,9 @@ def test_load_edge_list():
         load_edge_list("a b")
     with pytest.raises(ValueError, match="positive"):
         load_edge_list("a b 0")
+    # a zero denominator is a bad length, not a ZeroDivisionError
+    with pytest.raises(ValueError, match=r"bad edge length in 'a b 1/0': Fraction\(1, 0\)"):
+        load_edge_list("a b 1/0")
 
 
 def test_grid_validation():
@@ -95,6 +98,10 @@ def test_geometric_heights():
     assert 5.0 in hs
     assert hs[-1] >= 8
     assert all(b > a for a, b in zip(hs, hs[1:]))
+    # no rows per octave would divide by zero, and fewer would never end
+    for per_octave in (0, -1):
+        with pytest.raises(ValueError, match="per_octave must be >= 1"):
+            geometric_heights(8, per_octave=per_octave)
 
 
 # ---------------------------------------------------------------------------
