@@ -37,6 +37,8 @@ from .spaces import (
     _number,
     _PrefixSpace,
     config_count,
+    config_float,
+    config_floats,
     config_number,
     config_numbers,
     space_from_config,
@@ -91,16 +93,22 @@ class ExperimentConfig:
     def count(self, key: str, default=None) -> int:
         return config_count(self.raw, key, default)
 
+    def real(self, key: str, default=None) -> float:
+        return config_float(self.raw, key, default)
+
     def optional_number(self, key: str) -> float | None:
-        return float(self.number(key)) if key in self.raw else None
+        return self.real(key) if key in self.raw else None
 
     def numbers(self, key: str, default: str | None = None) -> list[Fraction]:
         return config_numbers(self.raw, key, default)
 
+    def reals(self, key: str, default: str | None = None) -> list[float]:
+        return config_floats(self.raw, key, default)
+
     def checked_numbers(self, key: str, check, default: str | None = None) -> list:
         """The numeric list under ``key`` as the certifier's ``check``
         returns it; a failed check names the key and its text."""
-        values = [float(v) for v in self.numbers(key, default)]
+        values = self.reals(key, default)
         try:
             return check(values)
         except ValueError as exc:
@@ -160,7 +168,10 @@ def parse_point(space: Space, text: str):
         if text == "apex":
             return space.basepoint
         node, height = text.split("@")
-        return space.validate((node, float(_number(height))))
+        try:
+            return space.validate((node, float(_number(height))))
+        except OverflowError:
+            raise ValueError(f"height {height} is too large for a float") from None
     raise ConfigError(f"cannot parse a point for model {space.model!r}")
 
 
@@ -309,7 +320,7 @@ def _fixed_point(cfg: ExperimentConfig):
     if mode == "finite":
         detect = lambda: actions.detect_coarse_fixed_point_finite(action, space, x0, horizon)
     elif mode == "isometry":
-        ball = BallSpec(x0, float(cfg.number("ball_radius")))
+        ball = BallSpec(x0, cfg.real("ball_radius"))
         min_returns = cfg.count("min_returns", 50)
         seed = cfg.seed
         detect = lambda: actions.detect_coarse_fixed_point_isometry(
@@ -349,9 +360,9 @@ def _odometer_density(cfg: ExperimentConfig):
 
 def _cone_diagnostic(cfg: ExperimentConfig):
     space = space_from_config({**cfg.raw, "space": "cone"})
-    r_e = float(cfg.number("entourage_radius"))
-    heights = [float(t) for t in cfg.numbers("heights")]
-    slack = float(cfg.number("slack", Fraction(1, 10)))
+    r_e = cfg.real("entourage_radius")
+    heights = cfg.reals("heights")
+    slack = cfg.real("slack", Fraction(1, 10))
 
     def compute():
         table = cone.compactification_diagnostic(space.grid, space.lam, r_e, heights, slack)
@@ -386,7 +397,7 @@ def _higson_defect(cfg: ExperimentConfig):
     if fname == "sin-coordinate" and not isinstance(space, LatticeSpace):
         raise ConfigError("function 'sin-coordinate' needs a lattice space (Z^k or N^k)")
     f = _FUNCTIONS[fname](space)
-    radius = float(cfg.number("entourage_radius"))
+    radius = cfg.real("entourage_radius")
     balls = cfg.checked_numbers("balls", coarse._balls)
     window_radius = cfg.optional_number("window_radius")
     if window_radius is not None:

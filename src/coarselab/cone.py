@@ -34,7 +34,7 @@ from scipy.sparse.csgraph import dijkstra, shortest_path
 
 from .coarse import rows_to_csv
 from .spaces import (BLOCK_PAIRS, DEFAULT_CAP, ConfigError, ModelMismatch, Space, _check_radius,
-                     _number, config_count, config_number, config_numbers)
+                     _number, config_count, config_float, config_floats)
 
 APEX = "*"
 
@@ -115,7 +115,7 @@ def load_edge_list(text: str) -> tuple[tuple[str, ...], tuple]:
         u, v, w = parts
         try:
             length = float(_number(w))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"bad edge length in {raw!r}: {exc}") from exc
         if length <= 0:
             raise ValueError(f"edge length must be positive: {raw!r}")
@@ -226,8 +226,18 @@ class ConeGrid:
         num[1:] = np.arange(1, 1 + num[1:].size).reshape(num[1:].shape)
         return num
 
+    @cached_property
+    def _points(self) -> dict[tuple[str, float], tuple[str, float]]:
+        """Each grid point keyed by itself."""
+        return {p: p for p in self.grid_points()}
+
     def validate(self, p) -> tuple[str, float]:
         """Canonical form of a grid point; ModelMismatch off the grid."""
+        if type(p) is tuple and len(p) == 2 and type(p[0]) is str and type(p[1]) is float:
+            # the stored point, not p: (APEX, -0.0) finds (APEX, 0.0)
+            q = self._points.get(p)
+            if q is not None:
+                return q
         node, t = canonical_cone_point(p)
         if t != 0.0:
             if node not in self.node_index:
@@ -594,7 +604,7 @@ def cone_space_from_config(cfg: dict, cap: int = DEFAULT_CAP) -> ConeSpace:
     octave) plus any ``extra_heights``.  ``lam`` picks linear or sqrt.
     """
     if "base_cycle" in cfg:
-        edge_length = float(config_number(cfg, "edge_length", 1))
+        edge_length = config_float(cfg, "edge_length", 1)
         nodes, edges = cycle_graph(config_count(cfg, "base_cycle"), edge_length)
     elif "base_edges" in cfg:
         text = str(cfg["base_edges"])
@@ -607,8 +617,8 @@ def cone_space_from_config(cfg: dict, cap: int = DEFAULT_CAP) -> ConeSpace:
         nodes, edges = load_edge_list(text)
     else:
         raise ConfigError("cone space needs 'base_cycle' or 'base_edges'")
-    extra = [float(t) for t in config_numbers(cfg, "extra_heights", "")]
-    heights = geometric_heights(float(config_number(cfg, "height_max", 64)),
+    extra = config_floats(cfg, "extra_heights", "")
+    heights = geometric_heights(config_float(cfg, "height_max", 64),
                                 config_count(cfg, "heights_per_octave", 4), extra)
     lam_name = str(cfg.get("lam", "linear")).lower()
     if lam_name not in _LAMBDAS:

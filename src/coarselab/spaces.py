@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -68,8 +67,6 @@ _CHILD_LETTERS = {
     last: "".join(ch for ch in sorted(LETTERS) if ch != _INVERSE.get(last))
     for last in ("", *LETTERS)
 }
-# a foreign character or a cancelling pair: what makes a string unreduced
-_NOT_REDUCED = re.compile(r"[^aAbB]|aA|Aa|bB|Bb")
 
 
 class ModelMismatch(ValueError):
@@ -132,8 +129,20 @@ def word_multiply(u: str, v: str) -> str:
 
 
 def is_reduced(w) -> bool:
-    """True for a string over ``aAbB`` with no cancelling pair."""
-    return isinstance(w, str) and _NOT_REDUCED.search(w) is None
+    """True when ``w`` is a ``str`` whose every character is one of
+    ``aAbB`` and in which no letter stands next to its inverse (no
+    ``aA``, ``Aa``, ``bB`` or ``Bb``).  The empty word is reduced."""
+    return isinstance(w, str) and _reduced_lines(w)
+
+
+def _reduced_lines(text: str, newlines: int = 0) -> bool:
+    """True when ``text`` is ``newlines + 1`` reduced words joined by
+    newlines: deleting the letters leaves exactly the separators, and no
+    cancelling pair occurs (a newline keeps two words' letters apart)."""
+    return (
+        text.translate(_NO_LETTERS) == "\n" * newlines
+        and "aA" not in text and "Aa" not in text and "bB" not in text and "Bb" not in text
+    )
 
 
 def enumerate_reduced_words(length: int) -> Iterator[str]:
@@ -663,12 +672,7 @@ class FreeGroupSpace(_PrefixSpace):
     def _all_valid(self, ps) -> bool:
         if not set(map(type, ps)) <= {str}:
             return False
-        # newline-joined, the words leave only their separators once the
-        # letters are deleted, and hold no cancelling pair
-        joined = "\n".join(ps)
-        return joined.translate(_NO_LETTERS) == "\n" * max(len(ps) - 1, 0) and not any(
-            pair in joined for pair in ("aA", "Aa", "bB", "Bb")
-        )
+        return _reduced_lines("\n".join(ps), max(len(ps) - 1, 0))
 
     def distance(self, p, q) -> int:
         p = self.validate(p)
@@ -844,6 +848,26 @@ def config_numbers(cfg, key: str, default: str | None = None) -> list[Fraction]:
         return [_number(part) for part in str(text).split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"invalid numeric list for {key!r}: {exc}") from exc
+
+
+def config_float(cfg, key: str, default=None) -> float:
+    """``config_number`` rounded to a float.  A literal too large for a
+    float is a ``ConfigError`` that names the key, not an
+    ``OverflowError``."""
+    return _rounded(cfg, key, default, [config_number(cfg, key, default)])[0]
+
+
+def config_floats(cfg, key: str, default: str | None = None) -> list[float]:
+    """``config_numbers`` rounded to floats, checked as ``config_float``."""
+    return _rounded(cfg, key, default, config_numbers(cfg, key, default))
+
+
+def _rounded(cfg, key: str, default, values: list[Fraction]) -> list[float]:
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise ConfigError(f"invalid numeric value for {key!r}: too large for a float "
+                          f"({key} = {cfg.get(key, default)})") from None
 
 
 def _parse_generators_lattice(text: str, rank: int) -> tuple[tuple[int, ...], ...]:

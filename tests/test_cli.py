@@ -308,6 +308,10 @@ _PROPER_TRANSLATION = (
 
 _ORBIT_ON = "experiment = orbit\nspace = {}\naction = translate\nby = 1\nhorizon = 4\n"
 
+_RADII_10_400 = (
+    "experiment = verify-coarse\nspace = Z^1\naction = translate\nby = 1\nradii = 10^400\n"
+)
+
 _CONE_DIAGNOSTIC = (
     "experiment = cone-diagnostic\nbase_cycle = 8\n{}\nentourage_radius = 1\nheights = 2\n"
 )
@@ -529,6 +533,35 @@ FAILURE_CONFIGS = {
     "extra-heights-1-0-run": (
         "run", _CONE_DIAGNOSTIC.format("extra_heights = 1/0"), 2, True,
         "error: invalid numeric list for 'extra_heights': Fraction(1, 0)",
+    ),
+    # a literal too large for a float is a config error, not an OverflowError
+    "radii-10-400-validate": (
+        "validate", _RADII_10_400, 2, False,
+        "diagnostic: invalid numeric value for 'radii': too large for a float "
+        "(radii = 10^400)",
+    ),
+    "radii-10-400-run": (
+        "run", _RADII_10_400, 2, True,
+        "error: invalid numeric value for 'radii': too large for a float (radii = 10^400)",
+    ),
+    "height-max-10-400-run": (
+        "run", _CONE_DIAGNOSTIC.format("height_max = 10^400"), 2, True,
+        "error: invalid numeric value for 'height_max': too large for a float",
+    ),
+    "cone-start-10-400-validate": (
+        "validate", _ROTATE_ORBIT.replace("0@4", "0@10^400"), 2, False,
+        "diagnostic: ValueError: height 10^400 is too large for a float",
+    ),
+    "edge-length-10-400-validate": (
+        "validate", "experiment = cone-diagnostic\nbase_edges = x y 10^400\n"
+        "entourage_radius = 1\nheights = 2\n", 2, False,
+        "diagnostic: ValueError: bad edge length in 'x y 10^400'",
+    ),
+    "entourage-radius-minus-10-400-validate": (
+        "validate",
+        _CONE_DIAGNOSTIC.format("").replace("entourage_radius = 1", "entourage_radius = -10^400"),
+        2, False,
+        "diagnostic: invalid numeric value for 'entourage_radius': too large for a float",
     ),
 }
 

@@ -239,6 +239,31 @@ def test_validate_errors():
         sp.validate(("x", -1.0))
 
 
+def _validate_outcome(grid, p):
+    """What ``grid.validate(p)`` returns, with each part's type and the
+    height's sign bit, or the class and message of what it raises."""
+    try:
+        node, t = grid.validate(p)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return node, type(node), t, type(t), math.copysign(1.0, t)
+
+
+def test_grid_point_lookup_matches_slow_path():
+    grid = two_point_grid()
+    slow = two_point_grid()
+    slow.__dict__["_points"] = {}  # every point takes canonical_cone_point's path
+    points = grid.grid_points() + [
+        ("x", 2), ("y", np.float64(9.0)), ("x", np.int64(3)), ("x", True),
+        (APEX, -0.0), ("x", 0.0), ("x", -0.0), ("y", 0), (np.str_("x"), 1.0),
+        ("nope", 1.0), ("x", 1.7), ("x", -1.0), ("x", math.nan), ("x", math.inf),
+        ["x", 1.0], ("x", 1.0, 0.0), ("x",), "x", None, (1, 1.0),
+    ]
+    for p in points:
+        assert _validate_outcome(grid, p) == _validate_outcome(slow, p), p
+    assert math.copysign(1.0, grid.validate((APEX, -0.0))[1]) == 1.0
+
+
 def test_pairwise_matches_scalar():
     nodes, edges = cycle_graph(5)
     grid = ConeGrid.build(nodes, edges, (0.0, 1.0, 2.0, 4.0))

@@ -124,6 +124,26 @@ def test_is_reduced_rejects_non_strings():
     assert not is_reduced(["a"])
 
 
+@given(st.text(alphabet="aAbBéßΑα\x00\n\t ", max_size=12))
+@example("a\x00A")
+@example("aé")
+@example("Α")  # Greek capital alpha, not the letter A
+@settings(max_examples=300)
+def test_is_reduced_matches_letter_oracle_over_wide_alphabet(w):
+    assert is_reduced(w) == _is_reduced_oracle(w)
+
+
+@given(st.lists(st.text(alphabet="aAbBx\n", max_size=6), max_size=6))
+@example([])
+@example([""])
+@example(["a", "A"])  # a cancelling pair across two words is no fault
+@example(["a\nb"])  # one word holding a separator
+@example(["ab", "", "\n"])
+@settings(max_examples=300)
+def test_batch_check_agrees_with_is_reduced(ps):
+    assert F2._all_valid(ps) == all(map(is_reduced, ps))
+
+
 def test_enumerate_reduced_words_counts():
     assert sorted(enumerate_reduced_words(0)) == [""]
     assert len(list(enumerate_reduced_words(1))) == 4
