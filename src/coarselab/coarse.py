@@ -13,6 +13,7 @@ import dataclasses
 import io
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -234,21 +235,24 @@ def bornologous_profile(
     d(x, y) <= R.
 
     The verdict is always ``certified-at-scale``: finite data bounds the
-    profile on the sampled window and proves nothing beyond it.
+    profile on the sampled window and proves nothing beyond it.  The
+    source side is reused for one (source, sample radius) at a time.
     """
     radii = _radii(DEFAULT_RADII if radii is None else radii)
-    pts = source.closed_ball(source.basepoint, _sample_radius(source, sample_radius))
-    images = [f(p) for p in pts]
-    src, tgt = source._distances_at(pts, limit=radii[-1]), target._distances_at(images)
-
     # Only pairs in E_R for the largest R can count, so the target
     # measures only those, a batch at a time.  A metric table is
     # symmetric, so its first row-major maximum lies on or above the
     # diagonal.  Float (cone) distances need not be exactly symmetric
     # and keep full rows.
     upper = source.integer_metric and target.integer_metric
+    pts, src, listed = _profile_sample(
+        source, _sample_radius(source, sample_radius), radii[-1], upper
+    )
+    images = [f(p) for p in pts]
+    tgt = target._distances_at(images)
+
     best = {r: (-math.inf, None, None) for r in radii}
-    for i, j, dsrc in _entourage_batches(source, pts, src, radii[-1], upper):
+    for i, j, dsrc in _entourage_batches(source, pts, src, radii[-1], upper, listed):
         dtgt = tgt(i, j)
         if dtgt.dtype != np.uint8:
             dtgt = dtgt.astype(float)  # other kernels' distances compare as floats
@@ -279,14 +283,28 @@ def bornologous_profile(
     )
 
 
-def _entourage_batches(source: Space, pts: list, src: Callable, r, upper: bool):
+@lru_cache(maxsize=1)
+def _profile_sample(source: Space, sample_radius, r, upper: bool):
+    """The source side of a profile: the sample ball's points, the source
+    kernel limited to ``r``, and the source's listing of the pairs
+    within ``r`` (None where it gives none, or unless ``upper``).  Only
+    compact runs are held, never the pairs."""
+    pts = tuple(source.closed_ball(source.basepoint, sample_radius))
+    listed = source._listed_pairs(pts, r) if upper else None
+    return pts, source._distances_at(pts, limit=r), listed
+
+
+def _entourage_batches(source: Space, pts: Sequence, src: Callable, r, upper: bool,
+                       listed=None):
     """The index pairs (i, j) of ``pts`` within ``r`` under the source
     kernel ``src``, with their distances d: row-major batches
     ``(i, j, d)``, each but the last of at least ``BLOCK_PAIRS`` pairs,
     j >= i when ``upper``.  The source lists them where it can
-    (``_listed_pairs``); otherwise they are kept from blocks of
-    ``src`` rows, rows i0:i1 reading columns i0: when ``upper``."""
-    listed = source._listed_pairs(pts, r) if upper else None
+    (``listed``, or else ``_listed_pairs``); otherwise they are kept
+    from blocks of ``src`` rows, rows i0:i1 reading columns i0: when
+    ``upper``."""
+    if listed is None and upper:
+        listed = source._listed_pairs(pts, r)
     if listed is not None:
         for i, j in listed:
             yield i, j, src(i, j)
@@ -330,12 +348,12 @@ def properness_table(
     unboundedly often as far as the desk can see); no isometry or group
     translation has a preimage point that far out.  Certification
     requires every preimage to sit strictly inside the final window.
+    The domain side is reused for one (source, domain radius) at a time.
     """
     radii = _radii(radii)
     horizons = _horizons(radii, domain_radius)
 
-    pts = source.closed_ball(source.basepoint, horizons[-1])
-    dist_src = distances_from(source, source.basepoint, pts)
+    pts, dist_src = _properness_domain(source, horizons[-1])
     images = [f(p) for p in pts]
     dist_img = distances_from(target, target.basepoint, images)
     offset = dist_img[int(np.argmin(dist_src))]  # d(y0, f(x0)); x0 is the one point at 0
@@ -368,6 +386,16 @@ def properness_table(
         counterexample=counterexample,
         notes=f"domain horizons {horizons}",
     )
+
+
+@lru_cache(maxsize=1)
+def _properness_domain(source: Space, radius):
+    """The points of the domain ball B(x0, ``radius``) and their read-only
+    distances from the basepoint x0."""
+    pts = tuple(source.closed_ball(source.basepoint, radius))
+    dist = distances_from(source, source.basepoint, pts)
+    dist.flags.writeable = False
+    return pts, dist
 
 
 def closeness_bound(

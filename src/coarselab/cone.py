@@ -161,6 +161,8 @@ class ConeGrid:
         heights = tuple(float(t) for t in heights)
         if len(heights) < 2 or heights[0] != 0.0:
             raise ValueError("height grid must start at 0 (the apex row)")
+        if not all(map(math.isfinite, heights)):  # NaN would pass the order test
+            raise ValueError("heights must be finite")
         if any(b <= a for a, b in zip(heights, heights[1:])):
             raise ValueError("height grid must be strictly increasing")
         index = {v: i for i, v in enumerate(nodes)}

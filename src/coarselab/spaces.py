@@ -221,12 +221,13 @@ class Space:
         search."""
         return None
 
-    def _listed_pairs(self, ps: Sequence, r) -> Iterator | None:
+    def _listed_pairs(self, ps: Sequence, r) -> Iterable | None:
         """The index pairs (i, j), i <= j, of ``ps`` with d(ps[i], ps[j])
-        <= r, listed without a distance table: batches of index arrays
-        ``(i, j)`` in row-major order, each but the last of at least
-        ``BLOCK_PAIRS`` pairs; or None, where the model cannot list them,
-        to send the caller to thresholding the distance kernel."""
+        <= r, listed without a distance table: an iterable of batches of
+        index arrays ``(i, j)`` in row-major order, each but the last of
+        at least ``BLOCK_PAIRS`` pairs, expanded afresh on each
+        iteration; or None, where the model cannot list them, to send
+        the caller to thresholding the distance kernel."""
         return None
 
     def _restrict(self, points):
@@ -518,24 +519,34 @@ def _prefix_runs(keys, lengths, r, bits: int) -> tuple[np.ndarray, np.ndarray]:
     return first, np.where(present, last - first, 0)
 
 
-def _run_batches(first, counts) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+@dataclass(frozen=True, eq=False)
+class _RunPairs:
     """The index pairs (i, j) of the runs ``first[i, t]`` up to
-    ``first[i, t] + counts[i, t]``, row by row: batches of index arrays,
-    each ending with the run that brings it to at least ``BLOCK_PAIRS``
-    pairs."""
-    runs_per_row = first.shape[1]
-    first, counts = first.ravel(), counts.ravel()
-    ends, total = np.cumsum(counts), counts.sum()
-    start, done = 0, 0  # the batch's first run, and the pairs before it
-    while done < total:
-        stop = min(len(ends), int(np.searchsorted(ends, done + BLOCK_PAIRS)) + 1)
-        c = counts[start:stop]
-        # the pair numbered p overall, in run q, has column first[q] + p
-        # less the pairs before run q
-        column = np.repeat(first[start:stop] - (ends[start:stop] - c), c)
-        yield (np.repeat(np.arange(start, stop) // runs_per_row, c),
-               column + np.arange(done, ends[stop - 1]))
-        start, done = stop, ends[stop - 1]
+    ``first[i, t] + counts[i, t]``, row by row.  Each iteration expands
+    them afresh into batches of index arrays, each ending with the run
+    that brings it to at least ``BLOCK_PAIRS`` pairs; only the runs are
+    held, read-only."""
+
+    first: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self):
+        self.first.flags.writeable = self.counts.flags.writeable = False
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        runs_per_row = self.first.shape[1]
+        first, counts = self.first.ravel(), self.counts.ravel()
+        ends, total = np.cumsum(counts), counts.sum()
+        start, done = 0, 0  # the batch's first run, and the pairs before it
+        while done < total:
+            stop = min(len(ends), int(np.searchsorted(ends, done + BLOCK_PAIRS)) + 1)
+            c = counts[start:stop]
+            # the pair numbered p overall, in run q, has column first[q] + p
+            # less the pairs before run q
+            column = np.repeat(first[start:stop] - (ends[start:stop] - c), c)
+            yield (np.repeat(np.arange(start, stop) // runs_per_row, c),
+                   column + np.arange(done, ends[stop - 1]))
+            start, done = stop, ends[stop - 1]
 
 
 class _PrefixSpace(Space):
@@ -591,7 +602,7 @@ class _PrefixSpace(Space):
         keys = (symbols.sum(axis=1) | 1 << self._BITS * width) >> self._BITS * (width - lengths)
         if np.any(keys[1:] <= keys[:-1]):
             return None
-        return _run_batches(*_prefix_runs(keys, lengths, r, self._BITS))
+        return _RunPairs(*_prefix_runs(keys, lengths, r, self._BITS))
 
     def _distances_at(self, ps, limit=math.inf):
         """uint8 distances of the prefix kernel over ``ps``, packed once."""

@@ -1,10 +1,13 @@
 import random
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarselab import coarse
 from coarselab.actions import (
     ActionSpec,
     IsometryViolation,
@@ -127,6 +130,25 @@ def test_free_left_translation_action_certified_isometric():
         rep = ver.report(gen, "bornologous")
         for row in rep.rows:
             assert row.value == row.scale  # S(R) = R for isometries
+
+
+def test_verify_coarse_action_enumerates_each_ball_once():
+    # four generators, each with a profile over B(e, 3) and a properness
+    # table over B(e, 5): the source sides are built once, not per map
+    coarse._profile_sample.cache_clear()
+    coarse._properness_domain.cache_clear()
+    radii, enumerate_ball = Counter(), FreeGroupSpace.closed_ball
+
+    def counted(space, center, r):
+        radii[r] += 1
+        return enumerate_ball(space, center, r)
+
+    with mock.patch.object(FreeGroupSpace, "closed_ball", counted):
+        ver = verify_coarse_action(
+            free_group_left_translation_action(), F2, [1, 2], 3, domain_radius=5
+        )
+    assert ver.verdict == CERTIFIED and len(ver.per_generator) == 4
+    assert radii == {1: 1, 3: 1, 5: 1}  # B(e, 1) is the commutativity sample
 
 
 def test_odometer_action_verification_at_depth_9():

@@ -26,6 +26,7 @@ from coarselab.cone import ConeGrid, ConeSpace, LambdaFunction, cycle_graph
 from coarselab.odometer import odometer_step
 from coarselab.spaces import (
     BinaryTreeSpace,
+    CapExceeded,
     FreeGroupSpace,
     LatticeSpace,
     reduce_word,
@@ -315,6 +316,67 @@ def test_listed_profile_memory_grows_with_the_block_not_the_pairs():
     small, big = peak(5), peak(6)
     assert big < 1.5 * small
     assert big < 1_062_153 * 4  # a quarter of the pairs' two int64 indices
+
+
+@pytest.mark.parametrize("case", list(_LISTED))
+def test_listed_pairs_expand_afresh_on_each_iteration(case):
+    space, centres, radius = _LISTED[case]
+    ps = space.closed_ball(centres[1], radius)
+    listed = space._listed_pairs(ps, 3)
+
+    def pairs():
+        return [np.concatenate(a).tolist() for a in zip(*listed)]
+
+    once = pairs()
+    assert len(once[0]) == np.triu(space.pairwise(ps, ps) <= 3).sum()
+    assert pairs() == once
+
+
+# source, a map of it into itself, two sample radii
+_MEMO_CASES = {
+    "F2": (F2, right_translation("ab"), (2, 3)),
+    "T2": (T2, odometer_step, (3, 4)),
+    "F2-custom": (F2_CUSTOM, right_translation("B"), (1, 2)),
+    "Z2": (Z2, lattice_translation((1, -2)), (2, 3)),
+    "N2": (N2, lattice_translation((1, 0)), (2, 3)),
+    "cone": (CONE, lambda p: p, (1, 2)),
+}
+
+
+def _memo_reports(case, k):
+    space, f, sample_radii = _MEMO_CASES[case]
+    radius = sample_radii[k]
+    return (bornologous_profile(f, space, space, [1, 2], radius),
+            properness_table(f, space, space, [1, 2], radius + 1))
+
+
+@pytest.mark.parametrize("pair", [("F2", "T2"), ("F2-custom", "Z2"), ("N2", "cone")])
+def test_warm_reports_equal_cold_reports(pair):
+    memos = (coarse._profile_sample, coarse._properness_domain)
+    cold = {}
+    for case in pair:
+        for k in (0, 1):
+            for memo in memos:
+                memo.cache_clear()
+            cold[case, k] = _memo_reports(case, k)
+    # each source side is evicted by another radius or another source,
+    # and refilled; every second visit in a row is a hit
+    a, b = pair
+    for case, k in [(a, 0), (a, 0), (a, 1), (a, 1), (b, 1), (b, 0), (b, 0), (a, 0)]:
+        assert _memo_reports(case, k) == cold[case, k]
+    assert [memo.cache_info().hits for memo in memos] == [3, 3]
+
+
+def test_sample_over_the_cap_raises_on_every_call():
+    small = FreeGroupSpace(cap=100)  # B(e, 3) holds 53 points, B(e, 4) 161
+    for _ in range(2):
+        with pytest.raises(CapExceeded):
+            bornologous_profile(lambda p: p, small, small, [1], 4)
+        with pytest.raises(CapExceeded):
+            properness_table(lambda p: p, small, small, [1], 4)
+        # a sample under the cap in between fills the memos
+        bornologous_profile(lambda p: p, small, small, [1], 3)
+        properness_table(lambda p: p, small, small, [1], 3)
 
 
 # ---------------------------------------------------------------------------

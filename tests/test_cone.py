@@ -72,6 +72,10 @@ def test_grid_validation():
         ConeGrid.build(("x",), (), (1.0, 2.0))
     with pytest.raises(ValueError, match="strictly increasing"):
         ConeGrid.build(("x",), (), (0.0, 2.0, 2.0))
+    # NaN passes an order test, and both read inf between connected points
+    for heights in ((0.0, 1.0, math.nan, 2.0), (0.0, 1.0, math.inf)):
+        with pytest.raises(ValueError, match="heights must be finite"):
+            ConeGrid.build(("x", "y"), (("x", "y", 1.0),), heights)
     with pytest.raises(ValueError, match="disconnected"):
         ConeGrid.build(("x", "y"), (), (0.0, 1.0))
     with pytest.raises(ValueError, match="unknown node"):
