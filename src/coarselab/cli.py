@@ -26,23 +26,21 @@ from . import __version__, actions, coarse, cone, odometer
 from .coarse import REFUTED
 from .odometer import BoundaryWord
 from .spaces import (
+    DEFAULT_CAP,
     BallSpec,
     BinaryTreeSpace,
     CapExceeded,
-    ConfigError,
     FreeGroupSpace,
     LatticeSpace,
     Space,
     _as_int_radius,
     _number,
     _PrefixSpace,
-    config_count,
-    config_float,
-    config_floats,
-    config_number,
-    config_numbers,
-    space_from_config,
 )
+
+
+class ConfigError(ValueError):
+    """A config key that is missing, or whose value the library cannot read."""
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -88,22 +86,52 @@ class ExperimentConfig:
         return self.raw[key]
 
     def number(self, key: str, default=None) -> Fraction:
-        return config_number(self.raw, key, default)
+        """The numeric literal under ``key``, or ``default`` when the key
+        is absent."""
+        if key not in self.raw:
+            if default is None:
+                raise ConfigError(f"missing required numeric field {key!r}")
+            return Fraction(default)
+        try:
+            return _number(self.raw[key])
+        except ValueError as exc:
+            raise ConfigError(f"invalid numeric value for {key!r}: {exc}") from exc
 
     def count(self, key: str, default=None) -> int:
-        return config_count(self.raw, key, default)
+        """``number`` for a count: a fraction is an error, not truncated."""
+        value = self.number(key, default)
+        if value.denominator != 1:
+            raise ConfigError(f"invalid count for {key!r}: {self.raw[key]} is not an integer")
+        return int(value)
+
+    def numbers(self, key: str, default: str | None = None) -> list[Fraction]:
+        """The comma-separated numeric literals under ``key``."""
+        text = self.raw.get(key, default)
+        if text is None:
+            raise ConfigError(f"missing required list field {key!r}")
+        try:
+            return [_number(part) for part in text.split(",") if part.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"invalid numeric list for {key!r}: {exc}") from exc
 
     def real(self, key: str, default=None) -> float:
-        return config_float(self.raw, key, default)
+        """``number`` rounded to a float.  A literal too large for a float
+        is a ``ConfigError`` that names the key, not an ``OverflowError``."""
+        return self._rounded(key, default, [self.number(key, default)])[0]
+
+    def reals(self, key: str, default: str | None = None) -> list[float]:
+        """``numbers`` rounded to floats, checked as ``real``."""
+        return self._rounded(key, default, self.numbers(key, default))
+
+    def _rounded(self, key: str, default, values: list[Fraction]) -> list[float]:
+        try:
+            return [float(v) for v in values]
+        except OverflowError:
+            raise ConfigError(f"invalid numeric value for {key!r}: too large for a float "
+                              f"({key} = {self.get(key, default)})") from None
 
     def optional_number(self, key: str) -> float | None:
         return self.real(key) if key in self.raw else None
-
-    def numbers(self, key: str, default: str | None = None) -> list[Fraction]:
-        return config_numbers(self.raw, key, default)
-
-    def reals(self, key: str, default: str | None = None) -> list[float]:
-        return config_floats(self.raw, key, default)
 
     def checked_numbers(self, key: str, check, default: str | None = None) -> list:
         """The numeric list under ``key`` as the certifier's ``check``
@@ -117,6 +145,83 @@ class ExperimentConfig:
     @property
     def seed(self) -> int:
         return self.count("seed", 0)
+
+
+_MODEL_NAMES = {"f2": "free-group", "tree": "binary-tree", "t2": "binary-tree",
+                "binary-tree": "binary-tree", "cone": "cone"}
+
+
+def space_from_config(cfg: ExperimentConfig) -> Space:
+    """The space the ``space`` key names: ``Z^k``, ``N^k`` (k a positive
+    integer), ``F2``, ``tree`` (or ``T2``) or ``cone``.  The name is
+    checked first, then ``cap``, then the model's keys: ``generators``
+    on a lattice or F2, the grid keys on a cone."""
+    name = cfg.get("space", "")
+    low = name.strip().lower()
+    if not low:
+        raise ConfigError("missing required field 'space'")
+    if low.startswith(("z^", "n^")) or low in ("z", "n"):
+        try:
+            rank = int(low[2:]) if "^" in low else 1
+        except ValueError:
+            rank = 0
+        if rank < 1:
+            raise ConfigError(f"lattice rank must be a positive integer: {name!r}")
+        model = "lattice"
+    elif low in _MODEL_NAMES:
+        model = _MODEL_NAMES[low]
+    else:
+        raise ConfigError(f"unknown space model {name!r}")
+    cap = cfg.count("cap", DEFAULT_CAP)
+    gens = cfg.get("generators")
+    if model == "lattice":
+        if gens is not None:
+            vectors = []
+            for part in gens.split(","):
+                vectors.append(tuple(int(c) for c in part.split()))
+                if len(vectors[-1]) != rank:
+                    raise ValueError(f"generator {part!r} does not have rank {rank}")
+            gens = tuple(vectors)
+        return LatticeSpace(rank=rank, signed=low.startswith("z"), generators=gens, cap=cap)
+    if model == "free-group":
+        gens = ("a", "b") if gens is None else tuple(w.strip() for w in gens.split(","))
+        return FreeGroupSpace(generators=gens, cap=cap)
+    if model == "binary-tree":
+        return BinaryTreeSpace(cap=cap)
+    return _cone_space(cfg, cap)
+
+
+_LAMBDAS = {"linear": cone.LambdaFunction.linear, "sqrt": cone.LambdaFunction.sqrt}
+
+
+def _cone_space(cfg: ExperimentConfig, cap: int) -> cone.ConeSpace:
+    """The cone the grid keys describe.  Base graph: either
+    ``base_cycle = n`` (with optional ``edge_length``) or ``base_edges``
+    holding edge-list text or a file path.  Heights: geometric up to
+    ``height_max`` (``heights_per_octave`` rows per octave) plus any
+    ``extra_heights``.  ``lam`` picks linear or sqrt."""
+    if "base_cycle" in cfg.raw:
+        edge_length = cfg.real("edge_length", 1)
+        nodes, edges = cone.cycle_graph(cfg.count("base_cycle"), edge_length)
+    elif "base_edges" in cfg.raw:
+        text = cfg.raw["base_edges"]
+        if "\n" not in text and text.endswith((".edges", ".txt")):
+            try:
+                with open(text) as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ValueError(f"cannot read base_edges {text!r}: {exc.strerror}") from exc
+        nodes, edges = cone.load_edge_list(text)
+    else:
+        raise ConfigError("cone space needs 'base_cycle' or 'base_edges'")
+    extra = cfg.reals("extra_heights", "")
+    heights = cone.geometric_heights(cfg.real("height_max", 64),
+                                     cfg.count("heights_per_octave", 4), extra)
+    lam_name = cfg.get("lam", "linear").lower()
+    if lam_name not in _LAMBDAS:
+        raise ConfigError(f"unknown lambda choice {lam_name!r}")
+    grid = cone.ConeGrid.build(nodes, edges, heights)
+    return cone.ConeSpace(grid, _LAMBDAS[lam_name](), cap=cap)
 
 
 @dataclass(frozen=True)
@@ -263,7 +368,7 @@ def _over_cap_balls(space: _PrefixSpace, radii: list, sample_radius, domain_radi
 
 
 def _verify_coarse(cfg: ExperimentConfig):
-    space = space_from_config(cfg.raw)
+    space = space_from_config(cfg)
     action = build_action(cfg, space)
     radii = cfg.checked_numbers("radii", coarse._radii, "1,2,4,8")
     sample_radius = cfg.optional_number("sample_radius")
@@ -280,7 +385,7 @@ def _verify_coarse(cfg: ExperimentConfig):
 
 
 def _closeness(cfg: ExperimentConfig):
-    space = space_from_config(cfg.raw)
+    space = space_from_config(cfg)
     action = build_action(cfg, space)
     if action.semigroup != "N":
         raise ConfigError("closeness needs an iterated action (one map)")
@@ -295,7 +400,7 @@ def _closeness(cfg: ExperimentConfig):
 
 
 def _orbit(cfg: ExperimentConfig):
-    space = space_from_config(cfg.raw)
+    space = space_from_config(cfg)
     action = build_action(cfg, space)
     horizon = cfg.count("horizon")
     x0 = _start(cfg, space)
@@ -312,7 +417,7 @@ def _orbit(cfg: ExperimentConfig):
 
 
 def _fixed_point(cfg: ExperimentConfig):
-    space = space_from_config(cfg.raw)
+    space = space_from_config(cfg)
     action = build_action(cfg, space)
     horizon = cfg.count("horizon")
     x0 = _start(cfg, space)
@@ -359,10 +464,11 @@ def _odometer_density(cfg: ExperimentConfig):
 
 
 def _cone_diagnostic(cfg: ExperimentConfig):
-    space = space_from_config({**cfg.raw, "space": "cone"})
+    space = _cone_space(cfg, cfg.count("cap", DEFAULT_CAP))
     r_e = cfg.real("entourage_radius")
     heights = cfg.reals("heights")
     slack = cfg.real("slack", Fraction(1, 10))
+    cone._check_slack(slack)
 
     def compute():
         table = cone.compactification_diagnostic(space.grid, space.lam, r_e, heights, slack)
@@ -389,7 +495,7 @@ _FUNCTIONS = {
 
 
 def _higson_defect(cfg: ExperimentConfig):
-    space = space_from_config(cfg.raw)
+    space = space_from_config(cfg)
     fname = cfg.require("function")
     if fname not in _FUNCTIONS:
         raise ConfigError(f"unknown function {fname!r}; choose from {sorted(_FUNCTIONS)}")

@@ -19,6 +19,8 @@ sum is the distance.  Searches that stop at a threshold (``_near``,
 ``closed_ball``, the compactification diagnostic) and full distances on
 every other grid run a bounded or full Dijkstra search,
 ``ConeSpace._row_blocks``.
+
+The grid keys of a config are read in :mod:`coarselab.cli`.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra, shortest_path
 
 from .coarse import rows_to_csv
-from .spaces import (BLOCK_PAIRS, DEFAULT_CAP, ConfigError, ModelMismatch, Space, _check_radius,
-                     _number, config_count, config_float, config_floats)
+from .spaces import BLOCK_PAIRS, DEFAULT_CAP, ModelMismatch, Space, _check_radius, _number
 
 APEX = "*"
 
@@ -165,6 +166,8 @@ class ConeGrid:
             raise ValueError("heights must be finite")
         if any(b <= a for a, b in zip(heights, heights[1:])):
             raise ValueError("height grid must be strictly increasing")
+        if not nodes:  # the apex row alone is no cone, and nothing could index it
+            raise ValueError("base graph has no nodes")
         index = {v: i for i, v in enumerate(nodes)}
         if len(index) != len(nodes):
             raise ValueError("duplicate node names")
@@ -551,6 +554,12 @@ class DiagnosticTable:
         )
 
 
+def _check_slack(slack: float):
+    # a negative or NaN slack fails every row, a zero separation included
+    if not (math.isfinite(slack) and slack >= 0):
+        raise ValueError(f"slack must be finite and >= 0, not {slack}")
+
+
 def compactification_diagnostic(
     grid: ConeGrid,
     lam: LambdaFunction,
@@ -571,11 +580,17 @@ def compactification_diagnostic(
             "diagnostic requires a lambda flagged increasing-unbounded; "
             "the criterion's hypothesis fails otherwise"
         )
+    if not math.isfinite(entourage_radius):
+        raise ValueError("entourage radius must be finite")
     if entourage_radius < 0:
         raise ValueError("entourage radius must be >= 0")
+    _check_slack(slack)
+    thresholds = sorted(float(t) for t in heights)
+    if not all(map(math.isfinite, thresholds)):  # NaN would pass the range tests
+        raise ValueError("threshold heights must be finite")
     space = ConeSpace(grid, lam)
     rows = []
-    for t in sorted(float(t) for t in heights):
+    for t in thresholds:
         if t <= 0:
             raise ValueError("threshold heights must be positive (t = 0 is the apex)")
         if t > grid.heights[-1]:
@@ -592,38 +607,3 @@ def compactification_diagnostic(
         bound = entourage_radius / lam(t)
         rows.append(DiagnosticRow(t, measured, bound, measured <= bound * (1.0 + slack)))
     return DiagnosticTable(float(entourage_radius), slack, tuple(rows))
-
-
-_LAMBDAS = {"linear": LambdaFunction.linear, "sqrt": LambdaFunction.sqrt}
-
-
-def cone_space_from_config(cfg: dict, cap: int = DEFAULT_CAP) -> ConeSpace:
-    """Build a cone handle from flat config keys.
-
-    Base graph: either ``base_cycle = n`` (with optional ``edge_length``)
-    or ``base_edges`` holding edge-list text / a file path.  Heights:
-    geometric up to ``height_max`` (``heights_per_octave`` rows per
-    octave) plus any ``extra_heights``.  ``lam`` picks linear or sqrt.
-    """
-    if "base_cycle" in cfg:
-        edge_length = config_float(cfg, "edge_length", 1)
-        nodes, edges = cycle_graph(config_count(cfg, "base_cycle"), edge_length)
-    elif "base_edges" in cfg:
-        text = str(cfg["base_edges"])
-        if "\n" not in text and text.endswith((".edges", ".txt")):
-            try:
-                with open(text) as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise ValueError(f"cannot read base_edges {text!r}: {exc.strerror}") from exc
-        nodes, edges = load_edge_list(text)
-    else:
-        raise ConfigError("cone space needs 'base_cycle' or 'base_edges'")
-    extra = config_floats(cfg, "extra_heights", "")
-    heights = geometric_heights(config_float(cfg, "height_max", 64),
-                                config_count(cfg, "heights_per_octave", 4), extra)
-    lam_name = str(cfg.get("lam", "linear")).lower()
-    if lam_name not in _LAMBDAS:
-        raise ConfigError(f"unknown lambda choice {lam_name!r}")
-    grid = ConeGrid.build(nodes, edges, heights)
-    return ConeSpace(grid, _LAMBDAS[lam_name](), cap=cap)

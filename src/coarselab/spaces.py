@@ -34,6 +34,9 @@ All lattice / word / tree distances are exact integers; no floating
 point enters these models.  Ball enumeration is capped (default 10^6
 points) and exceeding the cap raises ``CapExceeded`` rather than
 truncating silently.
+
+Configs are read in :mod:`coarselab.cli`; this module keeps only the
+numeric-literal grammar, ``_number``, which cone edge lists share.
 """
 
 from __future__ import annotations
@@ -809,11 +812,7 @@ def word_metric_bfs_oracle(space: Space, r) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# configuration
-
-
-class ConfigError(ValueError):
-    """A config key that is missing, or whose value the library cannot read."""
+# numeric literals
 
 
 def _number(text) -> Fraction:
@@ -827,117 +826,3 @@ def _number(text) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise ValueError(str(exc)) from exc
-
-
-def config_number(cfg, key: str, default=None) -> Fraction:
-    """The numeric literal under ``key`` of a flat config mapping, or
-    ``default`` when the key is absent."""
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing required numeric field {key!r}")
-        return Fraction(default)
-    try:
-        return _number(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"invalid numeric value for {key!r}: {exc}") from exc
-
-
-def config_count(cfg, key: str, default=None) -> int:
-    """``config_number`` for a count: a fraction is an error, not truncated."""
-    value = config_number(cfg, key, default)
-    if value.denominator != 1:
-        raise ConfigError(f"invalid count for {key!r}: {cfg[key]} is not an integer")
-    return int(value)
-
-
-def config_numbers(cfg, key: str, default: str | None = None) -> list[Fraction]:
-    """The comma-separated numeric literals under ``key``."""
-    text = cfg.get(key, default)
-    if text is None:
-        raise ConfigError(f"missing required list field {key!r}")
-    try:
-        return [_number(part) for part in str(text).split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"invalid numeric list for {key!r}: {exc}") from exc
-
-
-def config_float(cfg, key: str, default=None) -> float:
-    """``config_number`` rounded to a float.  A literal too large for a
-    float is a ``ConfigError`` that names the key, not an
-    ``OverflowError``."""
-    return _rounded(cfg, key, default, [config_number(cfg, key, default)])[0]
-
-
-def config_floats(cfg, key: str, default: str | None = None) -> list[float]:
-    """``config_numbers`` rounded to floats, checked as ``config_float``."""
-    return _rounded(cfg, key, default, config_numbers(cfg, key, default))
-
-
-def _rounded(cfg, key: str, default, values: list[Fraction]) -> list[float]:
-    try:
-        return [float(v) for v in values]
-    except OverflowError:
-        raise ConfigError(f"invalid numeric value for {key!r}: too large for a float "
-                          f"({key} = {cfg.get(key, default)})") from None
-
-
-def _parse_generators_lattice(text: str, rank: int) -> tuple[tuple[int, ...], ...]:
-    gens = []
-    for part in text.split(","):
-        coords = tuple(int(c) for c in part.split())
-        if len(coords) != rank:
-            raise ValueError(f"generator {part!r} does not have rank {rank}")
-        gens.append(coords)
-    return tuple(gens)
-
-
-_MODEL_NAMES = {"f2": "free-group", "tree": "binary-tree", "t2": "binary-tree",
-                "binary-tree": "binary-tree", "cone": "cone"}
-
-
-def parse_space_name(name) -> tuple[str, int, bool]:
-    """The model a ``space`` value names, as (model, rank, signed); rank
-    and signed describe Z^k / N^k and read 0, True elsewhere.  Reads the
-    name only and builds nothing; raises ``ConfigError`` for a name no
-    model has."""
-    low = str(name).strip().lower()
-    if not low:
-        raise ConfigError("missing required field 'space'")
-    if low.startswith(("z^", "n^")) or low in ("z", "n"):
-        try:
-            rank = int(low[2:]) if "^" in low else 1
-        except ValueError:
-            rank = 0
-        if rank < 1:
-            raise ConfigError(f"lattice rank must be a positive integer: {name!r}")
-        return "lattice", rank, low.startswith("z")
-    if low not in _MODEL_NAMES:
-        raise ConfigError(f"unknown space model {name!r}")
-    return _MODEL_NAMES[low], 0, True
-
-
-def space_from_config(cfg: dict) -> Space:
-    """Build a space handle from a flat key-value mapping.
-
-    Recognized ``space`` values: ``Z^k``, ``N^k`` (k a positive integer),
-    ``F2``, ``tree`` (or ``T2``), ``cone``.  Lattice and free-group
-    handles accept an optional ``generators`` entry; cone handles are
-    delegated to :mod:`coarselab.cone` and use its grid keys.
-    """
-    model, rank, signed = parse_space_name(cfg.get("space", ""))
-    cap = config_count(cfg, "cap", DEFAULT_CAP)
-    if model == "lattice":
-        gens = None
-        if "generators" in cfg:
-            gens = _parse_generators_lattice(str(cfg["generators"]), rank)
-        return LatticeSpace(rank=rank, signed=signed, generators=gens, cap=cap)
-    if model == "free-group":
-        gens = ("a", "b")
-        if "generators" in cfg:
-            gens = tuple(w.strip() for w in str(cfg["generators"]).split(","))
-        return FreeGroupSpace(generators=gens, cap=cap)
-    if model == "binary-tree":
-        return BinaryTreeSpace(cap=cap)
-    from . import cone
-
-    return cone.cone_space_from_config(cfg, cap=cap)

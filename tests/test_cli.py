@@ -15,6 +15,7 @@ from coarselab.cli import (
     parse_config_text,
     parse_point,
     run,
+    space_from_config,
     validate,
 )
 from coarselab.spaces import (
@@ -22,7 +23,6 @@ from coarselab.spaces import (
     FreeGroupSpace,
     LatticeSpace,
     _number,
-    space_from_config,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -275,11 +275,24 @@ def test_main_run_out_of_memory_exits_2_with_a_manifest(tmp_path, capsys, monkey
     assert doc["outputs"] == []
 
 
+def test_space_from_config():
+    assert space_from_config(ExperimentConfig({"space": "Z^2"})).rank == 2
+    assert space_from_config(ExperimentConfig({"space": "N^3"})).signed is False
+    assert isinstance(space_from_config(ExperimentConfig({"space": "F2"})), FreeGroupSpace)
+    assert isinstance(space_from_config(ExperimentConfig({"space": "tree"})), BinaryTreeSpace)
+    sp = space_from_config(ExperimentConfig({"space": "Z^1", "generators": "2, 3"}))
+    assert sp.moves == ((-3,), (-2,), (2,), (3,))
+    with pytest.raises(ValueError, match="unknown space"):
+        space_from_config(ExperimentConfig({"space": "hyperbolic"}))
+    with pytest.raises(ValueError, match="space"):
+        space_from_config(ExperimentConfig({}))
+
+
 def test_edge_list_cone_space():
     text = (CONFIGS / "cycle16.edges").read_text()
-    space = space_from_config(
+    space = space_from_config(ExperimentConfig(
         {"space": "cone", "base_edges": text, "height_max": "4"}
-    )
+    ))
     assert len(space.grid.nodes) == 16
     assert space.distance(("0", 1.0), ("1", 1.0)) == 1.0
 
@@ -319,6 +332,8 @@ _CONE_DIAGNOSTIC = (
 _BASE_CYCLE_2 = (
     "experiment = cone-diagnostic\nbase_cycle = 2\nentourage_radius = 1\nheights = 2\n"
 )
+
+_BASE_CYCLE_0 = _BASE_CYCLE_2.replace("base_cycle = 2", "base_cycle = 0")
 
 _ROTATE_ORBIT = (
     "experiment = orbit\nspace = cone\nbase_cycle = 8\nheight_max = 2^4\naction = rotate\n"
@@ -377,6 +392,22 @@ FAILURE_CONFIGS = {
         2, True, "error: ModelMismatch: expected a reduced word",
     ),
     "base-cycle-2-run": ("run", _BASE_CYCLE_2, 2, True, "the base graph must be simple"),
+    # an empty base graph is a config error, not an IndexError in the certifier
+    "base-cycle-0-validate": (
+        "validate", _BASE_CYCLE_0, 2, False, "diagnostic: ValueError: base graph has no nodes",
+    ),
+    "base-cycle-0-run": (
+        "run", _BASE_CYCLE_0, 2, True, "error: ValueError: base graph has no nodes",
+    ),
+    # a negative slack would fail every row, a zero separation included
+    "slack-minus-2-validate": (
+        "validate", _CONE_DIAGNOSTIC.format("slack = -2"), 2, False,
+        "diagnostic: ValueError: slack must be finite and >= 0",
+    ),
+    "slack-minus-2-run": (
+        "run", _CONE_DIAGNOSTIC.format("slack = -2"), 2, True,
+        "error: ValueError: slack must be finite and >= 0",
+    ),
     "zero-edge-length-run": (
         "run",
         "experiment = cone-diagnostic\nbase_cycle = 8\nedge_length = 0\n"
@@ -563,6 +594,32 @@ FAILURE_CONFIGS = {
         2, False,
         "diagnostic: invalid numeric value for 'entourage_radius': too large for a float",
     ),
+    # two faults: the reader reports the first it reads, the space name,
+    # then cap, then the model's keys in their own order
+    "unknown-space-and-fractional-cap-validate": (
+        "validate", _ORBIT_ON.format("Q^2") + "cap = 1/2\n", 2, False,
+        "diagnostic: unknown space model 'Q^2'\n",
+    ),
+    "fractional-cap-and-short-generator-validate": (
+        "validate", _ORBIT_ON.format("Z^2") + "cap = 1/2\ngenerators = 1\n", 2, False,
+        "diagnostic: invalid count for 'cap': 1/2 is not an integer\n",
+    ),
+    "fractional-cap-and-no-base-validate": (
+        "validate", "experiment = orbit\nspace = cone\ncap = 1/2\naction = rotate\nhorizon = 4\n",
+        2, False, "diagnostic: invalid count for 'cap': 1/2 is not an integer\n",
+    ),
+    "fractional-base-cycle-and-huge-height-max-validate": (
+        "validate",
+        _BASE_CYCLE_2.replace("base_cycle = 2", "base_cycle = 5/2\nheight_max = 10^400"), 2, False, "diagnostic: invalid count for 'base_cycle': 5/2 is not an integer\n",
+    ),
+    "unknown-lam-and-bad-extra-heights-validate": (
+        "validate", _CONE_DIAGNOSTIC.format("lam = cubic\nextra_heights = x"), 2, False,
+        "diagnostic: invalid numeric list for 'extra_heights': ",
+    ),
+    "cone-diagnostic-bad-cap-validate": (
+        "validate", _CONE_DIAGNOSTIC.format("cap = x"), 2, False,
+        "diagnostic: invalid numeric value for 'cap': ",
+    ),
 }
 
 
@@ -671,4 +728,4 @@ def test_docs_recipes_validate(tmp_path):
 def test_build_action_rotate_needs_base_cycle():
     cfg = cfg_from(f"space = cone\nbase_edges = {CONFIGS / 'cycle16.edges'}\naction = rotate\n")
     with pytest.raises(ConfigError, match="base_cycle"):
-        build_action(cfg, space_from_config(cfg.raw))
+        build_action(cfg, space_from_config(cfg))

@@ -70,6 +70,8 @@ def test_load_edge_list():
 def test_grid_validation():
     with pytest.raises(ValueError, match="apex row"):
         ConeGrid.build(("x",), (), (1.0, 2.0))
+    with pytest.raises(ValueError, match="no nodes"):
+        ConeGrid.build((), (), (0.0, 1.0))
     with pytest.raises(ValueError, match="strictly increasing"):
         ConeGrid.build(("x",), (), (0.0, 2.0, 2.0))
     # NaN passes an order test, and both read inf between connected points
@@ -550,6 +552,23 @@ def test_diagnostic_height_validation():
         compactification_diagnostic(grid, LINEAR, 5.0, [0.0])
     with pytest.raises(ValueError, match="beyond the grid"):
         compactification_diagnostic(grid, LINEAR, 5.0, [1000.0])
+
+
+# a NaN or negative slack and a NaN radius fail every row, and a NaN
+# threshold would index past the grid
+@pytest.mark.parametrize("r, thresholds, slack, message", [
+    (5.0, [2.0], -2.0, "slack must be finite and >= 0"),
+    (5.0, [2.0], math.nan, "slack must be finite and >= 0"),
+    (5.0, [2.0], math.inf, "slack must be finite and >= 0"),
+    (math.nan, [2.0], 0.1, "entourage radius must be finite"),
+    (math.inf, [2.0], 0.1, "entourage radius must be finite"),
+    (5.0, [2.0, math.nan], 0.1, "threshold heights must be finite"),
+    (5.0, [math.inf], 0.1, "threshold heights must be finite"),
+])
+def test_diagnostic_rejects_meaningless_arguments(r, thresholds, slack, message):
+    grid = ConeGrid.build(*cycle_graph(6), geometric_heights(8))
+    with pytest.raises(ValueError, match=message):
+        compactification_diagnostic(grid, LINEAR, r, thresholds, slack)
 
 
 def test_diagnostic_csv():

@@ -22,7 +22,6 @@ from coarselab.spaces import (
     word_inverse,
     word_metric_bfs_oracle,
     word_multiply,
-    space_from_config,
 )
 
 Z1 = LatticeSpace(1)
@@ -589,20 +588,3 @@ def test_custom_free_group_generators_match_bfs():
        st.integers(-40, 40))
 def test_lattice_distance_is_l1(x0, y0, x1, y1):
     assert Z2.distance((x0, y0), (x1, y1)) == abs(x1 - x0) + abs(y1 - y0)
-
-
-# ---------------------------------------------------------------------------
-# config parsing
-
-
-def test_space_from_config():
-    assert space_from_config({"space": "Z^2"}).rank == 2
-    assert space_from_config({"space": "N^3"}).signed is False
-    assert isinstance(space_from_config({"space": "F2"}), FreeGroupSpace)
-    assert isinstance(space_from_config({"space": "tree"}), BinaryTreeSpace)
-    sp = space_from_config({"space": "Z^1", "generators": "2, 3"})
-    assert sp.moves == ((-3,), (-2,), (2,), (3,))
-    with pytest.raises(ValueError, match="unknown space"):
-        space_from_config({"space": "hyperbolic"})
-    with pytest.raises(ValueError, match="space"):
-        space_from_config({})
