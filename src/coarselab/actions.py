@@ -82,31 +82,39 @@ def lattice_translation_action(space: LatticeSpace) -> ActionSpec:
         e = [0] * space.rank
         e[i] = 1
         step = tuple(e)
-        maps.append((f"+e{i + 1}", _translate_by(step)))
+        maps.append((f"+e{i + 1}", lattice_translation(step)))
         if space.signed:
             neg = tuple(-c for c in step)
-            maps.append((f"-e{i + 1}", _translate_by(neg)))
+            maps.append((f"-e{i + 1}", lattice_translation(neg)))
     tag = f"{'Z' if space.signed else 'N'}^{space.rank}"
     return ActionSpec(tag, tuple(maps), isometry=True)
 
 
-def _translate_by(g: tuple[int, ...]) -> Callable:
-    return lambda p: tuple(a + b for a, b in zip(p, g))
+# The translation maps carry their translation as ``translation``: the
+# vector g of p -> p + g, or the words (g, h) of x -> g x h.  The
+# certifiers move a whole ball by it at once (``Space._translated``).
 
 
 def lattice_translation(g: tuple[int, ...]) -> Callable:
     """Point map p -> p + g."""
-    return _translate_by(tuple(g))
+    g = tuple(g)
+    f = lambda p: tuple(a + b for a, b in zip(p, g))
+    f.translation = g
+    return f
 
 
 def left_translation(g: str) -> Callable:
     """Point map x -> g x on reduced words."""
-    return lambda p: word_multiply(g, p)
+    f = lambda p: word_multiply(g, p)
+    f.translation = (g, "")
+    return f
 
 
 def right_translation(h: str) -> Callable:
     """Point map x -> x h on reduced words."""
-    return lambda p: word_multiply(p, h)
+    f = lambda p: word_multiply(p, h)
+    f.translation = ("", h)
+    return f
 
 
 def free_group_left_translation_action() -> ActionSpec:

@@ -469,9 +469,14 @@ def _cone_diagnostic(cfg: ExperimentConfig):
     heights = cfg.reals("heights")
     slack = cfg.real("slack", Fraction(1, 10))
     cone._check_slack(slack)
+    # the diagnostic enumerates the points above each threshold, the most
+    # above the lowest
+    space._check_cap(len(cone._above(space.grid, min(heights, default=math.inf))),
+                     "diagnostic enumeration")
 
     def compute():
-        table = cone.compactification_diagnostic(space.grid, space.lam, r_e, heights, slack)
+        table = cone.compactification_diagnostic(space.grid, space.lam, r_e, heights, slack,
+                                                 space.cap)
         verdict = "all-passed" if table.all_passed() else REFUTED
         return {"diagnostic": verdict}, {"diagnostic.csv": table.to_csv()}
 

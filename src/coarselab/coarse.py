@@ -236,7 +236,9 @@ def bornologous_profile(
 
     The verdict is always ``certified-at-scale``: finite data bounds the
     profile on the sampled window and proves nothing beyond it.  The
-    source side is reused for one (source, sample radius) at a time.
+    source side is reused for one (source, sample radius) at a time.  A
+    translation of the source into itself is applied to the sample's
+    array form (``_translated``); any other map, point by point.
     """
     radii = _radii(DEFAULT_RADII if radii is None else radii)
     # Only pairs in E_R for the largest R can count, so the target
@@ -245,11 +247,14 @@ def bornologous_profile(
     # diagonal.  Float (cone) distances need not be exactly symmetric
     # and keep full rows.
     upper = source.integer_metric and target.integer_metric
-    pts, src, listed = _profile_sample(
+    pts, packed, src, listed = _profile_sample(
         source, _sample_radius(source, sample_radius), radii[-1], upper
     )
-    images = [f(p) for p in pts]
-    tgt = target._distances_at(images)
+    moved = _translated(f, source, target, packed)
+    if moved is None:
+        tgt = target._distances_at([f(p) for p in pts])
+    else:
+        tgt = target._kernel(moved, moved)
 
     best = {r: (-math.inf, None, None) for r in radii}
     for i, j, dsrc in _entourage_batches(source, pts, src, radii[-1], upper, listed):
@@ -285,13 +290,35 @@ def bornologous_profile(
 
 @lru_cache(maxsize=1)
 def _profile_sample(source: Space, sample_radius, r, upper: bool):
-    """The source side of a profile: the sample ball's points, the source
-    kernel limited to ``r``, and the source's listing of the pairs
-    within ``r`` (None where it gives none, or unless ``upper``).  Only
-    compact runs are held, never the pairs."""
+    """The source side of a profile: the sample ball's points, their
+    array form (``Space._packed``, or None), the source kernel limited
+    to ``r``, and the source's listing of the pairs within ``r`` (None
+    where it gives none, or unless ``upper``).  Only compact runs are
+    held, never the pairs."""
     pts = tuple(source.closed_ball(source.basepoint, sample_radius))
     listed = source._listed_pairs(pts, r) if upper else None
-    return pts, source._distances_at(pts, limit=r), listed
+    packed = source._packed(pts)
+    if packed is None:
+        return pts, None, source._distances_at(pts, limit=r), listed
+    return pts, packed, source._kernel(packed, packed), listed
+
+
+def _translated(f: Callable, source: Space, target: Space, packed):
+    """The array form of ``f``'s images of the points whose array form is
+    ``packed``, when ``f`` is a translation of ``source`` (it carries
+    ``translation``) into the same space and the model can move them
+    exactly (``Space._translated``); else None, and the caller maps the
+    points one by one."""
+    translation = getattr(f, "translation", None)
+    if translation is None or packed is None or target != source:
+        return None
+    return source._translated(packed, translation)
+
+
+def _base_distances(space: Space, packed) -> np.ndarray:
+    """Float distances from the basepoint to the points whose array form
+    is ``packed``."""
+    return space._kernel(space._packed([space.basepoint]), packed)(0, slice(None)).astype(float)
 
 
 def _entourage_batches(source: Space, pts: Sequence, src: Callable, r, upper: bool,
@@ -349,13 +376,19 @@ def properness_table(
     translation has a preimage point that far out.  Certification
     requires every preimage to sit strictly inside the final window.
     The domain side is reused for one (source, domain radius) at a time.
+    A translation of the source into itself is applied to the domain's
+    array form, as in ``bornologous_profile``; the witness image is
+    ``f`` of the witness point.
     """
     radii = _radii(radii)
     horizons = _horizons(radii, domain_radius)
 
-    pts, dist_src = _properness_domain(source, horizons[-1])
-    images = [f(p) for p in pts]
-    dist_img = distances_from(target, target.basepoint, images)
+    pts, packed, dist_src = _properness_domain(source, horizons[-1])
+    moved = _translated(f, source, target, packed)
+    if moved is None:
+        dist_img = distances_from(target, target.basepoint, [f(p) for p in pts])
+    else:
+        dist_img = _base_distances(target, moved)
     offset = dist_img[int(np.argmin(dist_src))]  # d(y0, f(x0)); x0 is the one point at 0
 
     rows = []
@@ -369,7 +402,7 @@ def properness_table(
             if far[0] > horizons[-1] - 1 + 1e-9:
                 bounded = False  # preimage touches the final window edge
             witness_src = source.format_point(pts[far[1]])
-            witness_dst = target.format_point(images[far[1]])
+            witness_dst = target.format_point(f(pts[far[1]]))
         # every sampled point lies within the last horizon
         rows.append(ScaleRow(float(r), float(sel.sum()), witness_src, witness_dst))
         outer = [h for h in horizons if h > r + offset + 1]
@@ -390,12 +423,17 @@ def properness_table(
 
 @lru_cache(maxsize=1)
 def _properness_domain(source: Space, radius):
-    """The points of the domain ball B(x0, ``radius``) and their read-only
-    distances from the basepoint x0."""
+    """The points of the domain ball B(x0, ``radius``), their array form
+    (``Space._packed``, or None) and their read-only distances from the
+    basepoint x0."""
     pts = tuple(source.closed_ball(source.basepoint, radius))
-    dist = distances_from(source, source.basepoint, pts)
+    packed = source._packed(pts)
+    if packed is None:
+        dist = distances_from(source, source.basepoint, pts)
+    else:
+        dist = _base_distances(source, packed)
     dist.flags.writeable = False
-    return pts, dist
+    return pts, packed, dist
 
 
 def closeness_bound(

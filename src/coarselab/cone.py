@@ -560,12 +560,22 @@ def _check_slack(slack: float):
         raise ValueError(f"slack must be finite and >= 0, not {slack}")
 
 
+def _above(grid: ConeGrid, t: float) -> np.ndarray:
+    """The numbers of the grid points at heights >= t, a tail of the
+    ``grid_points`` numbering; none above the top row."""
+    num = grid.point_numbers
+    row = int(np.searchsorted(grid.heights, t))
+    end = num[-1, -1] + 1
+    return np.arange(num[row, 0] if row < len(num) else end, end)
+
+
 def compactification_diagnostic(
     grid: ConeGrid,
     lam: LambdaFunction,
     entourage_radius: float,
     heights: Sequence[float],
     slack: float = 0.1,
+    cap: int = DEFAULT_CAP,
 ) -> DiagnosticTable:
     """Measure, per threshold height t, the largest base separation among
     grid pairs above t lying within the entourage, against r_E / lambda(t).
@@ -573,7 +583,8 @@ def compactification_diagnostic(
     This is the quantitative shadow of "controlled sets meet the boundary
     only at the diagonal": with lambda increasing and unbounded, pairs of
     bounded cone distance must have base separation shrinking like
-    1 / lambda.  The slack absorbs grid discretization.
+    1 / lambda.  The slack absorbs grid discretization.  The points
+    above each threshold are enumerated under ``cap``.
     """
     if not lam.increasing_unbounded:
         raise ValueError(
@@ -588,16 +599,16 @@ def compactification_diagnostic(
     thresholds = sorted(float(t) for t in heights)
     if not all(map(math.isfinite, thresholds)):  # NaN would pass the range tests
         raise ValueError("threshold heights must be finite")
-    space = ConeSpace(grid, lam)
+    space = ConeSpace(grid, lam, cap=cap)
     rows = []
     for t in thresholds:
         if t <= 0:
             raise ValueError("threshold heights must be positive (t = 0 is the apex)")
         if t > grid.heights[-1]:
             raise ValueError(f"threshold {t} is beyond the grid top {grid.heights[-1]}")
-        # the points at heights >= t are a tail of the grid_points numbering
-        first = grid.point_numbers[np.searchsorted(grid.heights, t), 0]
-        above = np.arange(first, len(space._points))
+        above = _above(grid, t)
+        space._check_cap(len(above), "diagnostic enumeration")
+        first = above[0]
         nodes = (above - 1) % len(grid.nodes)
         measured = 0.0
         for lo, block in space._row_blocks(above, limit=entourage_radius):

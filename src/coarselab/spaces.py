@@ -21,8 +21,13 @@ Each model gives one distance kernel, ``_distances_at(ps, limit)``,
 which returns ``dist(i, j)`` over the points ``ps``; ``Space`` derives
 ``pairwise``, ``paired`` and ``_near`` from it.  It is exact up to
 ``limit``, which callers that only compare distances with a radius set
-to it, so that the cone stops its searches there.  The free group and
-the tree share one packed prefix-distance kernel.  The lattice,
+to it, so that the cone stops its searches there.  The standard lattice,
+free-group and tree kernels read an array form of the points
+(``_packed``, then ``_kernel``): coordinates, or packed codes and
+lengths.  The free group and the tree share one packed prefix-distance
+kernel.  The standard lattice and free group also move an array form by
+a translation (``_translated``), so a certifier can measure a translated
+ball without mapping its points one by one.  The lattice,
 free-group and tree models give ``neighbors(v)``, which drives their
 breadth-first word lengths and ball enumeration, except at the root of
 the standard free group and tree, whose balls are listed level by
@@ -174,7 +179,8 @@ class Space:
 
     Subclasses provide ``model``, ``integer_metric``, ``basepoint``,
     ``validate``, ``distance`` and may give a vectorized distance kernel,
-    ``_distances_at``, from which ``pairwise`` and ``paired`` are derived.
+    ``_distances_at`` or an array form and its kernel, ``_packed`` and
+    ``_kernel``, from which ``pairwise`` and ``paired`` are derived.
     Graph models provide ``neighbors``, from which ``_word_length`` and
     the breadth-first ``closed_ball`` are derived; a graph model that can
     list a ball directly (the standard free group and tree at the root)
@@ -307,8 +313,12 @@ class Space:
         broadcasting index arrays or slices ``i`` and ``j``.  ``ps`` is
         validated here, once.  Distances up to ``limit`` are exact; a
         float model may read larger ones as inf, integer models ignore
-        it.  This is the one distance kernel a model gives; this
-        fallback asks the scalar ``distance``, in floats."""
+        it.  This is the one distance kernel a model gives: ``_kernel``
+        over the array form ``_packed`` where the model has one, else
+        this fallback, which asks the scalar ``distance``, in floats."""
+        packed = self._packed(ps)
+        if packed is not None:
+            return self._kernel(packed, packed)
         self._validate_all(ps)
         at = np.arange(len(ps))
 
@@ -318,6 +328,23 @@ class Space:
             return np.array(d, dtype=float).reshape(i.shape)
 
         return dist
+
+    def _packed(self, ps):
+        """The validated points ``ps`` in the array form that ``_kernel``
+        reads, or None where the model has none for them."""
+        return None
+
+    def _kernel(self, a, b) -> Callable[[Any, Any], np.ndarray]:
+        """``dist(i, j)``, the distances from ``a[i]`` to ``b[j]`` of two
+        ``_packed`` array forms."""
+        raise NotImplementedError
+
+    def _translated(self, packed, translation):
+        """The array form of the images of the points whose array form is
+        ``packed`` under a map's ``translation`` attribute, or None where
+        the model cannot give it exactly; the caller then maps the
+        points one by one."""
+        return None
 
     def _validate_all(self, ps):
         """Raise ``validate``'s ``ModelMismatch`` for the first point of
@@ -460,12 +487,29 @@ class LatticeSpace(Space):
             len(ps), self.rank
         )
 
-    def _distances_at(self, ps, limit=math.inf):
+    def _packed(self, ps):
+        # l1 on the standard generators only
         if not self.standard:
-            return super()._distances_at(ps)
+            return None
         self._validate_all(ps)
-        a = self._coords(ps)
-        return lambda i, j: np.abs(a[i] - a[j]).sum(axis=-1)
+        return self._coords(ps)
+
+    def _kernel(self, a, b):
+        return lambda i, j: np.abs(a[i] - b[j]).sum(axis=-1)
+
+    def _translated(self, packed, translation):
+        # p + g on int64 coordinates, while p + g stays where _coords
+        # keeps int64 and, on N^k, in the orthant
+        if not isinstance(translation, tuple) or packed.dtype != np.int64:
+            return None
+        g = _integer_tuples([translation], self.rank)
+        limit = np.iinfo(np.int64).max // (2 * self.rank)
+        if g is None or max(map(abs, g)) > limit:
+            return None
+        moved = packed + np.array(g, np.int64)  # |p|, |g| <= limit: no overflow
+        if moved.size and (moved.max() > limit or moved.min() < (-limit if self.signed else 0)):
+            return None
+        return moved
 
     def format_point(self, p) -> str:
         return "(" + ",".join(str(c) for c in p) + ")"
@@ -491,6 +535,21 @@ def _prefix_distance(ca, la, cb, lb, bits: int) -> np.ndarray:
     """|p| + |q| - 2 lcp(p, q), uint8, broadcast between packed strings;
     the codes ``ca`` carry bit 62 (see ``_prefix_lcp``)."""
     return la + lb - 2 * _prefix_lcp(ca ^ cb, la, lb, bits)
+
+
+def _cancelled(codes: np.ndarray, first, step: int, inverses, bits: int) -> np.ndarray:
+    """How many letters of each packed word cancel, in a run, against the
+    symbols ``inverses``: letter t of the run is the word's symbol at
+    position first + step * t, and the run ends at a mismatch or below
+    position 0.  A position past the word reads 0, which is no symbol."""
+    k = np.zeros(len(codes), np.int64)
+    run = np.ones(len(codes), bool)
+    for t, s in enumerate(inverses):
+        pos = first + step * t
+        symbol = (codes >> bits * np.maximum(pos, 0)) & ((1 << bits) - 1)
+        run &= (pos >= 0) & (symbol == s)
+        k += run
+    return k
 
 
 def _prefix_runs(keys, lengths, r, bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -607,16 +666,16 @@ class _PrefixSpace(Space):
             return None
         return _RunPairs(*_prefix_runs(keys, lengths, r, self._BITS))
 
-    def _distances_at(self, ps, limit=math.inf):
-        """uint8 distances of the prefix kernel over ``ps``, packed once."""
+    def _packed(self, ps):
+        # codes and lengths of standard, packable points
         self._validate_all(ps)
-        if not self._packable(ps):
-            return super()._distances_at(ps)
-        codes, lengths = self._pack(ps)
-        marked = codes | (1 << 62)
-        return lambda i, j: _prefix_distance(
-            marked[i], lengths[i], codes[j], lengths[j], self._BITS
-        )
+        return self._pack(ps) if self._packable(ps) else None
+
+    def _kernel(self, a, b):
+        """uint8 distances of the prefix kernel between packed points."""
+        (ca, la), (cb, lb) = a, b
+        marked = ca | (1 << 62)
+        return lambda i, j: _prefix_distance(marked[i], la[i], cb[j], lb[j], self._BITS)
 
     def _ball_size(self, radius: int) -> int:
         """|B(root, radius)| in the standard model."""
@@ -702,6 +761,37 @@ class FreeGroupSpace(_PrefixSpace):
 
     def neighbors(self, v: str) -> list[str]:
         return [word_multiply(v, m) for m in self.moves]
+
+    def _translated(self, packed, translation):
+        # x -> g x h for the pair of reduced words (g, h): x h, then g (x h);
+        # None where g, h or a product passes the packing limit.  x h keeps
+        # x's first |x| - k letters, k cancelled against h's first, and
+        # appends h[k:]; g y mirrors it on y's first letters.
+        if not (isinstance(translation, tuple) and len(translation) == 2
+                and all(map(is_reduced, translation))):
+            return None
+        g, h = translation
+        if max(len(g), len(h)) > self._PACK_LIMIT:
+            return None
+        codes, lengths = packed
+        lengths = lengths.astype(np.int64)
+        bits = self._BITS
+        if h:
+            k = _cancelled(codes, lengths - 1, -1, self._symbols([h.swapcase()]), bits)
+            kept = bits * (lengths - k)
+            lengths = lengths + len(h) - 2 * k
+            if lengths.max(initial=0) > self._PACK_LIMIT:
+                return None
+            tails = self._pack([h[j:] for j in range(len(h) + 1)])[0]
+            codes = (codes & ((1 << kept) - 1)) | (tails[k] << kept)
+        if g:
+            k = _cancelled(codes, 0, 1, self._symbols([word_inverse(g)]), bits)
+            lengths = lengths + len(g) - 2 * k
+            if lengths.max(initial=0) > self._PACK_LIMIT:
+                return None
+            heads = self._pack([g[:len(g) - j] for j in range(len(g) + 1)])[0]
+            codes = heads[k] | ((codes >> bits * k) << bits * (len(g) - k))
+        return codes, lengths.astype(np.uint8)
 
     def _ball_size(self, radius):
         return 2 * 3**radius - 1

@@ -329,6 +329,8 @@ _CONE_DIAGNOSTIC = (
     "experiment = cone-diagnostic\nbase_cycle = 8\n{}\nentourage_radius = 1\nheights = 2\n"
 )
 
+_CONE_DIAGNOSTIC_CFG = (CONFIGS / "cone_diagnostic.cfg").read_text()
+
 _BASE_CYCLE_2 = (
     "experiment = cone-diagnostic\nbase_cycle = 2\nentourage_radius = 1\nheights = 2\n"
 )
@@ -619,6 +621,23 @@ FAILURE_CONFIGS = {
     "cone-diagnostic-bad-cap-validate": (
         "validate", _CONE_DIAGNOSTIC.format("cap = x"), 2, False,
         "diagnostic: invalid numeric value for 'cap': ",
+    ),
+    # the diagnostic enumerates the 448 grid points above its lowest
+    # threshold, and the cap applies to them (it once ran to all-passed)
+    "cone-diagnostic-cap-1-validate": (
+        "validate", _CONE_DIAGNOSTIC_CFG + "cap = 1\n", 2, False,
+        "diagnostic: CapExceeded: diagnostic enumeration exceeded cap of 1 points",
+    ),
+    "cone-diagnostic-cap-1-run": (
+        "run", _CONE_DIAGNOSTIC_CFG + "cap = 1\n", 2, True,
+        "error: CapExceeded: diagnostic enumeration exceeded cap of 1 points",
+    ),
+    "cone-diagnostic-cap-447-run": (
+        "run", _CONE_DIAGNOSTIC_CFG + "cap = 447\n", 2, True,
+        "error: CapExceeded: diagnostic enumeration exceeded cap of 447 points",
+    ),
+    "cone-diagnostic-cap-448-run": (
+        "run", _CONE_DIAGNOSTIC_CFG + "cap = 448\n", 0, True, "diagnostic: all-passed",
     ),
 }
 

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -29,6 +30,7 @@ from coarselab.spaces import (
     CapExceeded,
     FreeGroupSpace,
     LatticeSpace,
+    ModelMismatch,
     reduce_word,
     word_inverse,
     word_metric_bfs_oracle,
@@ -189,20 +191,22 @@ def test_profile_measures_the_target_only_on_the_largest_entourage():
     near = np.triu(d_src <= 6)
     assert (len(pts) * (len(pts) + 1) // 2, near.sum()) == (1_062_153, 57_591)
 
-    calls = {}  # the index arrays each distance function was asked for, by its points
-    measure = FreeGroupSpace._distances_at
+    # the index arrays each distance function was asked for, by its
+    # points' packed codes: the translation's images are moved as codes
+    calls = {}
+    measure = FreeGroupSpace._kernel
 
-    def spy(space, ps, limit=math.inf):
-        dist, log = measure(space, ps, limit), calls.setdefault(tuple(ps), [])
+    def spy(space, a, b):
+        dist, log = measure(space, a, b), calls.setdefault(a[0].tobytes(), [])
 
         def logged(i, j):
             log.append(np.broadcast_arrays(i, j))
             return dist(i, j)
         return logged
 
-    with mock.patch.object(FreeGroupSpace, "_distances_at", spy):
+    with mock.patch.object(FreeGroupSpace, "_kernel", spy):
         rep = bornologous_profile(f, F2, F2, radii, 6)
-    batches = calls[tuple(images)]
+    batches = calls[F2._pack(images)[0].tobytes()]
     i, j = (np.concatenate([b[k] for b in batches]) for k in (0, 1))
     # exactly the selected pairs, in row-major order, a few large batches
     assert (i.tolist(), j.tolist()) == tuple(a.tolist() for a in np.nonzero(near))
@@ -434,6 +438,146 @@ def test_lattice_translation_is_never_refuted(by, radii, domain_radius):
 def test_free_group_translation_is_never_refuted(g, side, radii, domain_radius):
     f = left_translation(g) if side == "left" else right_translation(g)
     assert properness_table(f, F2, F2, radii, domain_radius).verdict != REFUTED
+
+
+# ---------------------------------------------------------------------------
+# translation images on the sample's array form
+
+
+@st.composite
+def _reduced_words(draw, lengths):
+    w = ""
+    for _ in range(draw(st.sampled_from(lengths))):
+        w += draw(st.sampled_from(spaces._CHILD_LETTERS[w[-1:]]))
+    return w
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_free_group_translation_images_match_packed_images(data):
+    # points of up to 20 letters, whose images reach 19, 20 and 21 letters
+    pts = data.draw(st.lists(_reduced_words([0, 1, 2, 5, 18, 19, 20]), min_size=1, max_size=8))
+    side = data.draw(st.sampled_from(["left", "right", "both"]))
+    # a short word (the empty one included), or one that undoes the
+    # last or first j letters of a point (all of them when j = |x|)
+    x = data.draw(st.sampled_from(pts))
+    j = data.draw(st.integers(0, len(x)))
+    tail = data.draw(_reduced_words([0, 1, 2]))
+    h = data.draw(st.one_of(_reduced_words([0, 1, 2, 3]),
+                            st.just(reduce_word(word_inverse(x[len(x) - j:]) + tail))))
+    g = data.draw(st.one_of(_reduced_words([0, 1, 2, 3]),
+                            st.just(reduce_word(tail + word_inverse(x[:j])))))
+    if side == "left":
+        f = left_translation(g)
+    elif side == "right":
+        f = right_translation(h)
+    else:
+        f = lambda p: word_multiply(g, word_multiply(p, h))
+        f.translation = (g, h)
+    images = [f(p) for p in pts]
+    moved = F2._translated(F2._packed(pts), f.translation)
+    # x h is formed first
+    halfway = [word_multiply(p, f.translation[1]) for p in pts]
+    if max(map(len, [*images, *halfway, *f.translation])) > 20:
+        assert moved is None  # past the packing limit: the list path
+    else:
+        codes, lengths = F2._pack(images)
+        assert (moved[0].dtype, moved[1].dtype) == (codes.dtype, lengths.dtype)
+        assert (moved[0].tolist(), moved[1].tolist()) == (codes.tolist(), lengths.tolist())
+
+
+_LIMITS = {rank: np.iinfo(np.int64).max // (2 * rank) for rank in (1, 2)}
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_lattice_translation_images_match_coordinates(data):
+    space = data.draw(st.sampled_from([Z1, Z2, N1, N2]))
+    limit = _LIMITS[space.rank]
+    near = [limit - 1, limit, limit + 1, 2**62, 2**63, 2**64]
+    coord = st.one_of(st.integers(-3, 3), st.sampled_from(near + [-c for c in near]))
+    point = st.tuples(*[coord] * space.rank)
+    pts = data.draw(st.lists(point.map(lambda p: p if space.signed else tuple(map(abs, p))),
+                             min_size=1, max_size=6))
+    f = lattice_translation(data.draw(point))
+    images = [f(p) for p in pts]
+    moved = space._translated(space._packed(pts), f.translation)
+    # the array path runs only where _coords keeps int64 and, on N^k, in
+    # the orthant; elsewhere the list path stays exact
+    fits = all(abs(c) <= limit for p in [*pts, *images, f.translation] for c in p) and (
+        space.signed or min(c for p in images for c in p) >= 0)
+    assert (moved is not None) == fits
+    if fits:
+        assert moved.dtype == space._coords(images).dtype == np.int64
+        assert moved.tolist() == [list(p) for p in images]
+
+
+# map, source, target, sample radius: translations on the array path and
+# every case that keeps the list path
+_ARRAY_CASES = {
+    "F2-right": (right_translation("abA"), F2, F2, 4),
+    "F2-left": (left_translation("Ba"), F2, F2, 4),
+    "F2-e": (right_translation(""), F2, F2, 3),
+    "F2-whole-word": (left_translation("bbb"), F2, F2, 3),
+    "Z2": (lattice_translation((2, -1)), Z2, Z2, 4),
+    "N2": (lattice_translation((1, 3)), N2, N2, 4),
+    "Z1-near-int64": (lattice_translation((_LIMITS[1] - 9,)), Z1, Z1, 4),
+    "Z1-past-int64": (lattice_translation((_LIMITS[1] - 2,)), Z1, Z1, 4),
+    "Z1-far-past-int64": (lattice_translation((2**64,)), Z1, Z1, 4),
+    "F2-custom": (right_translation("B"), F2_CUSTOM, F2_CUSTOM, 2),
+    "F2-long": (left_translation(LONG), F2, F2, 2),
+    "N1-into-Z1": (lattice_translation((-2,)), N1, Z1, 4),
+    "F2-into-F2-custom": (right_translation("b"), F2, F2_CUSTOM, 2),
+}
+
+
+def _reports(f, source, target, radius):
+    reports = (bornologous_profile(f, source, target, [1, 2, 3], radius),
+               properness_table(f, source, target, [1, 2], radius + 2))
+    return reports, [(rep.to_csv(), json.dumps(rep.to_json_dict())) for rep in reports]
+
+
+@pytest.mark.parametrize("case", list(_ARRAY_CASES))
+def test_translation_reports_equal_the_list_path(case):
+    f, source, target, radius = _ARRAY_CASES[case]
+    plain = lambda p: f(p)  # the same values, no translation: point by point
+    assert _reports(f, source, target, radius) == _reports(plain, source, target, radius)
+
+
+@pytest.mark.parametrize("f, source, target, certifier, message", [
+    (right_translation("aA"), F2, F2, bornologous_profile, "'aA'"),
+    (right_translation("aA"), F2, F2, properness_table, "'aA'"),
+    (left_translation("x"), F2, F2, bornologous_profile, "'x'"),
+    (left_translation("x"), F2, F2, properness_table, "'x'"),
+    (lattice_translation((-1,)), N1, N1, properness_table, "negative coordinate: (-1,)"),
+    (lattice_translation((1,)), Z1, N1, bornologous_profile, "negative coordinate: (-2,)"),
+])
+def test_translation_errors_equal_the_list_path(f, source, target, certifier, message):
+    with pytest.raises(ModelMismatch) as translated:
+        certifier(f, source, target, [1, 2], 3)
+    with pytest.raises(ModelMismatch) as plain:
+        certifier(lambda p: f(p), source, target, [1, 2], 3)
+    assert str(translated.value) == str(plain.value)
+    assert str(translated.value).endswith(message)
+
+
+@pytest.mark.parametrize("space, by, step", [
+    (F2, ("", "ab"), lambda p: word_multiply(p, "ab")),
+    (F2, ("Ab", ""), lambda p: word_multiply("Ab", p)),
+    (Z2, (1, -2), lambda p: (p[0] + 1, p[1] - 2)),
+])
+def test_translations_are_not_mapped_point_by_point(space, by, step):
+    calls = []
+
+    def f(p):
+        calls.append(p)
+        return step(p)
+
+    f.translation = by
+    bornologous_profile(f, space, space, [1, 2], 4)
+    assert calls == []
+    properness_table(f, space, space, [1, 2], 6)
+    assert len(calls) == 2  # the witness image of each radius
 
 
 # ---------------------------------------------------------------------------

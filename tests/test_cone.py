@@ -571,6 +571,16 @@ def test_diagnostic_rejects_meaningless_arguments(r, thresholds, slack, message)
         compactification_diagnostic(grid, LINEAR, r, thresholds, slack)
 
 
+def test_diagnostic_enumerates_under_the_cap():
+    # heights 0, 1, 2, 4, 8: 3 rows of 6 points lie at or above t = 2
+    grid = ConeGrid.build(*cycle_graph(6), geometric_heights(8, 1))
+    for thresholds in ([2.0], [8.0, 2.0]):
+        table = compactification_diagnostic(grid, LINEAR, 5.0, thresholds, cap=18)
+        assert table == compactification_diagnostic(grid, LINEAR, 5.0, thresholds)
+        with pytest.raises(CapExceeded, match="diagnostic enumeration exceeded cap of 17"):
+            compactification_diagnostic(grid, LINEAR, 5.0, thresholds, cap=17)
+
+
 def test_diagnostic_csv():
     nodes, edges = cycle_graph(6)
     grid = ConeGrid.build(nodes, edges, geometric_heights(8))
