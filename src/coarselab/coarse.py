@@ -298,9 +298,8 @@ def _profile_sample(source: Space, sample_radius, r, upper: bool):
     pts = tuple(source.closed_ball(source.basepoint, sample_radius))
     listed = source._listed_pairs(pts, r) if upper else None
     packed = source._packed(pts)
-    if packed is None:
-        return pts, None, source._distances_at(pts, limit=r), listed
-    return pts, packed, source._kernel(packed, packed), listed
+    src = source._distances_at(pts, limit=r) if packed is None else source._kernel(packed, packed)
+    return pts, packed, src, listed
 
 
 def _translated(f: Callable, source: Space, target: Space, packed):
