@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,6 +24,7 @@ from .coarse import CERTIFIED, INCONCLUSIVE, REFUTED, CoarseReport, ScaleRow
 from .spaces import (
     BallSpec,
     LatticeSpace,
+    ModelMismatch,
     Space,
     is_reduced,
     word_multiply,
@@ -60,10 +62,6 @@ class ActionSpec:
         return self.semigroup == "N" or self.semigroup[0] in ("Z", "N")
 
     @property
-    def maps(self) -> dict[str, Callable]:
-        return dict(self.generator_maps)
-
-    @property
     def step(self) -> Callable:
         if self.semigroup != "N":
             raise ValueError("step is defined for N-actions only")
@@ -96,11 +94,17 @@ def lattice_translation_action(space: LatticeSpace) -> ActionSpec:
 
 
 def lattice_translation(g: tuple[int, ...]) -> Callable:
-    """Point map p -> p + g."""
+    """Point map p -> p + g; a point of another length than g is a
+    ``ModelMismatch``."""
     g = tuple(g)
-    f = lambda p: tuple(a + b for a, b in zip(p, g))
+    f = lambda p: tuple(map(add, p, g)) if len(p) == len(g) else _length_mismatch(g, p)
     f.translation = g
     return f
+
+
+def _length_mismatch(g, p):
+    raise ModelMismatch(f"translation by a vector of length {len(g)} "
+                        f"applied to a point of length {len(p)}: {p!r}")
 
 
 def left_translation(g: str) -> Callable:
@@ -357,31 +361,16 @@ def detect_coarse_fixed_point_finite(
 ) -> CycleDetection:
     """Look for m > n with m . x0 = n . x0; a hit traps the whole orbit
     in its first m points, which is re-verified exhaustively up to the
-    horizon."""
+    horizon: no later iterate may be a new point."""
     if not space.integer_metric:
         raise ValueError("cycle detection needs exact point equality; "
                          "use the isometry detector for grid models")
-    x0 = space.validate(x0)
-    fn = action.step
-    seen = {x0: 0}
-    seq = [x0]
-    p = x0
-    for m in range(1, horizon + 1):
-        p = space.validate(fn(p))
-        if p in seen:
-            n = seen[p]
-            prefix = set(seq[:m])
-            verified = True
-            q = p
-            for _ in range(m, horizon):
-                q = fn(q)
-                if q not in prefix:
-                    verified = False  # pragma: no cover
-                    break
-            return CycleDetection("cycle-found", m, n, tuple(seq[:m]), verified)
-        seen[p] = m
-        seq.append(p)
-    return CycleDetection("inconclusive-at-horizon", None, None, tuple(seq), False)
+    seq, uniq, _, ids = _iterate_sequence(action, space, space.validate(x0), horizon)
+    repeats = np.flatnonzero(ids != np.arange(len(ids)))  # times that revisit a point
+    if not len(repeats):
+        return CycleDetection("inconclusive-at-horizon", None, None, tuple(seq), False)
+    m = int(repeats[0])
+    return CycleDetection("cycle-found", m, int(ids[m]), tuple(uniq[:m]), len(uniq) == m)
 
 
 @dataclass(frozen=True)

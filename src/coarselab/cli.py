@@ -519,8 +519,7 @@ def _higson_defect(cfg: ExperimentConfig):
                               f"balls = {cfg.raw['balls']})") from exc
 
     def compute():
-        table = coarse.higson_defect(f, space, radius, balls, window_radius=window_radius,
-                                     function_id=fname)
+        table = coarse.higson_defect(f, space, radius, balls, window_radius=window_radius)
         final = table.rows[-1].value if table.rows else 0.0
         return {"defect_at_largest_ball": final}, {"defect.csv": table.to_csv()}
 

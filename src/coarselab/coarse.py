@@ -23,6 +23,7 @@ from .spaces import (
     BinaryTreeSpace,
     LatticeSpace,
     Space,
+    _check_radius,
     word_metric_bfs_oracle,
 )
 
@@ -99,7 +100,6 @@ class CoarseReport:
 class HigsonDefectTable:
     """Per-ball suprema of |f(y) - f(x)| over an entourage, outside B x B."""
 
-    function_id: str
     entourage_radius: float
     rows: tuple[ScaleRow, ...]
 
@@ -129,6 +129,8 @@ def _masked_max(mask: np.ndarray, values: np.ndarray) -> tuple[float, int] | Non
     """The largest of ``values`` where ``mask`` holds, with its first flat
     index; None when the mask selects nothing.  Unsigned values are masked
     to 0 by one multiply, which stays in their dtype; others to -inf."""
+    if not mask.size:  # argmax has no answer for an empty array
+        return None
     if values.dtype.kind == "u":
         masked = values * mask
     else:
@@ -149,11 +151,7 @@ def default_sample_radius(space: Space) -> int:
 def _sample_radius(space: Space, sample_radius):
     if sample_radius is None:
         return default_sample_radius(space)
-    if not math.isfinite(sample_radius):
-        raise ValueError("sample ball radius must be finite")
-    if sample_radius < 0:
-        raise ValueError("sample ball radius must be >= 0")
-    return sample_radius
+    return _check_radius(sample_radius, "sample ball radius")
 
 
 def _horizons(radii: list, domain_radius) -> list[int]:
@@ -482,7 +480,6 @@ def higson_defect(
     entourage_radius: float,
     balls: Sequence[float],
     window_radius=None,
-    function_id: str = "f",
 ) -> HigsonDefectTable:
     """sup |f(y) - f(x)| over pairs with d(x, y) <= R lying outside B x B.
 
@@ -492,10 +489,7 @@ def higson_defect(
     the basepoint x0, and is evaluated as g on the window's distances.
     """
     balls = _balls(balls)
-    if not math.isfinite(entourage_radius):
-        raise ValueError("entourage radius must be finite")
-    if entourage_radius < 0:
-        raise ValueError("entourage radius must be >= 0")
+    _check_radius(entourage_radius, "entourage radius")
     if window_radius is None:
         window_radius = math.ceil(1.05 * balls[-1]) + 2 * math.ceil(entourage_radius)
     _check_window(window_radius, balls)
@@ -518,11 +512,7 @@ def higson_defect(
             sup, k = hit
             rows.append(ScaleRow(float(b), sup, space.format_point(points[src[k]]),
                                  space.format_point(points[dst[k]])))
-    return HigsonDefectTable(
-        function_id=function_id,
-        entourage_radius=float(entourage_radius),
-        rows=tuple(rows),
-    )
+    return HigsonDefectTable(float(entourage_radius), tuple(rows))
 
 
 def _window(f: Callable, space: Space, radius):

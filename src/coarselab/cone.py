@@ -216,33 +216,35 @@ class ConeGrid:
             new.add(b / 2 if a == 0.0 else math.sqrt(a * b))
         return ConeGrid(self.nodes, self.edges, tuple(sorted(new)), self.base_distance)
 
-    def grid_points(self) -> list[tuple[str, float]]:
+    @cached_property
+    def points(self) -> tuple[tuple[str, float], ...]:
         """All grid points: the apex, then each positive height row in
         node order.  This order is the grid's one point numbering."""
-        pts: list[tuple[str, float]] = [(APEX, 0.0)]
-        for t in self.heights[1:]:
-            pts.extend((v, t) for v in self.nodes)
-        return pts
+        return ((APEX, 0.0), *((v, t) for t in self.heights[1:] for v in self.nodes))
+
+    @cached_property
+    def point_index(self) -> dict[tuple[str, float], int]:
+        """Each grid point's number in ``points``."""
+        return {p: i for i, p in enumerate(self.points)}
+
+    def grid_points(self) -> list[tuple[str, float]]:
+        """``points`` as a list."""
+        return list(self.points)
 
     @cached_property
     def point_numbers(self) -> np.ndarray:
-        """[row, node] -> index in ``grid_points()``; row 0 is the apex."""
+        """[row, node] -> index in ``points``; row 0 is the apex."""
         num = np.zeros((len(self.heights), len(self.nodes)), dtype=np.intp)
         num[1:] = np.arange(1, 1 + num[1:].size).reshape(num[1:].shape)
         return num
-
-    @cached_property
-    def _points(self) -> dict[tuple[str, float], tuple[str, float]]:
-        """Each grid point keyed by itself."""
-        return {p: p for p in self.grid_points()}
 
     def validate(self, p) -> tuple[str, float]:
         """Canonical form of a grid point; ModelMismatch off the grid."""
         if type(p) is tuple and len(p) == 2 and type(p[0]) is str and type(p[1]) is float:
             # the stored point, not p: (APEX, -0.0) finds (APEX, 0.0)
-            q = self._points.get(p)
-            if q is not None:
-                return q
+            i = self.point_index.get(p)
+            if i is not None:
+                return self.points[i]
         node, t = canonical_cone_point(p)
         if t != 0.0:
             if node not in self.node_index:
@@ -414,20 +416,12 @@ class ConeSpace(Space):
         return self.grid.validate(p)
 
     @cached_property
-    def _points(self) -> list[tuple[str, float]]:
-        return self.grid.grid_points()
-
-    @cached_property
-    def _point_index(self) -> dict[tuple[str, float], int]:
-        return {p: i for i, p in enumerate(self._points)}
-
-    @cached_property
     def _lambdas(self) -> np.ndarray:
         return np.array([self.lam(t) for t in self.grid.heights])
 
     @cached_property
     def _graph(self) -> csr_matrix:
-        """Grid graph over the ``grid_points`` numbering: vertical edges
+        """Grid graph over the ``points`` numbering: vertical edges
         cost the height change, horizontal ones lambda(t) * w.  A cell
         diagonal would cost dt + max lambda * w, while going vertical and
         then across at the lower-lambda row costs dt + min lambda * w, so
@@ -439,7 +433,7 @@ class ConeSpace(Space):
         vertical = (num[:-1], num[1:], np.broadcast_to(dt, num[1:].shape))  # apex row included
         horizontal = (num[1:, u], num[1:, v], self._lambdas[1:, None] * w)
         i, j, lengths = (np.r_[a.ravel(), b.ravel()] for a, b in zip(vertical, horizontal))
-        return _undirected(len(self._points), (i, j), lengths)
+        return _undirected(len(grid.points), (i, j), lengths)
 
     @cached_property
     def _fold(self) -> "_HeightFold | None":
@@ -448,7 +442,8 @@ class ConeSpace(Space):
         return _HeightFold.build(self.grid, self._lambdas)
 
     def _indices(self, ps) -> np.ndarray:
-        return np.array([self._point_index[self.validate(p)] for p in ps], dtype=np.intp)
+        index = self.grid.point_index
+        return np.array([index[self.validate(p)] for p in ps], dtype=np.intp)
 
     def _row_blocks(self, sources, limit=math.inf):
         """``(offset, rows)`` for each ``_PAIRED_ROWS`` of the point numbers
@@ -497,7 +492,7 @@ class ConeSpace(Space):
         (_, rows), = self._row_blocks(self._indices([center]), limit=r)
         hits = np.nonzero(rows[0] <= r)[0]
         self._check_cap(len(hits))
-        return [self._points[i] for i in hits]
+        return [self.grid.points[i] for i in hits]
 
     def format_point(self, p) -> str:
         node, t = canonical_cone_point(p)
@@ -562,7 +557,7 @@ def _check_slack(slack: float):
 
 def _above(grid: ConeGrid, t: float) -> np.ndarray:
     """The numbers of the grid points at heights >= t, a tail of the
-    ``grid_points`` numbering; none above the top row."""
+    ``points`` numbering; none above the top row."""
     num = grid.point_numbers
     row = int(np.searchsorted(grid.heights, t))
     end = num[-1, -1] + 1
@@ -591,10 +586,7 @@ def compactification_diagnostic(
             "diagnostic requires a lambda flagged increasing-unbounded; "
             "the criterion's hypothesis fails otherwise"
         )
-    if not math.isfinite(entourage_radius):
-        raise ValueError("entourage radius must be finite")
-    if entourage_radius < 0:
-        raise ValueError("entourage radius must be >= 0")
+    _check_radius(entourage_radius, "entourage radius")
     _check_slack(slack)
     thresholds = sorted(float(t) for t in heights)
     if not all(map(math.isfinite, thresholds)):  # NaN would pass the range tests

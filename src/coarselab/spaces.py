@@ -25,15 +25,17 @@ to it, so that the cone stops its searches there.  The standard lattice,
 free-group and tree kernels read an array form of the points
 (``_packed``, then ``_kernel``): coordinates, or packed codes and
 lengths.  The free group and the tree share one packed prefix-distance
-kernel.  The standard lattice and free group also move an array form by
-a translation (``_translated``), so a certifier can measure a translated
-ball without mapping its points one by one.  The lattice,
-free-group and tree models give ``neighbors(v)``, which drives their
-breadth-first word lengths and ball enumeration, except at the root of
-the standard free group and tree, whose balls are listed level by
-level.  Those two models also list the pairs of a sorted point list
-within a radius, ``_listed_pairs(ps, r)``, as runs of points sharing a
-prefix, at a cost that grows with the pairs and not with len(ps)^2.
+kernel and one scalar reference for it, ``_PrefixSpace.distance``, which
+compares two points symbol by symbol.  The standard lattice and free
+group also move an array form by a translation (``_translated``), so a
+certifier can measure a translated ball without mapping its points one
+by one.  The lattice, free-group and tree models give ``neighbors(v)``,
+which drives their breadth-first word lengths and ball enumeration,
+except at the root of the standard free group and tree, whose balls are
+listed level by level.  Those two models also list the pairs of a
+sorted point list within a radius, ``_listed_pairs(ps, r)``, as runs of
+points sharing a prefix, at a cost that grows with the pairs and not
+with len(ps)^2.
 
 All lattice / word / tree distances are exact integers; no floating
 point enters these models.  Ball enumeration is capped (default 10^6
@@ -153,21 +155,15 @@ def _reduced_lines(text: str, newlines: int = 0) -> bool:
     )
 
 
-def enumerate_reduced_words(length: int) -> Iterator[str]:
-    """All reduced words of exactly the given length (4 * 3^(n-1) of them)."""
-    if length == 0:
-        yield ""
-        return
-    for first in LETTERS:
-        stack = [(first,)]
-        while stack:
-            w = stack.pop()
-            if len(w) == length:
-                yield "".join(w)
-                continue
-            for ch in LETTERS:
-                if ch != _INVERSE[w[-1]]:
-                    stack.append(w + (ch,))
+def enumerate_reduced_words(length: int) -> list[str]:
+    """All reduced words of exactly the given length (4 * 3^(n-1) of them),
+    in natural order: level ``length`` of the standard free group's ball."""
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    level = [""]
+    for _ in range(length):
+        level = FreeGroupSpace()._children(level)
+    return level
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +374,12 @@ def _integer_tuples(ps, length: int | None = None) -> list | None:
     return flat
 
 
-def _check_radius(r):
-    """``r``, once it is a finite radius >= 0."""
+def _check_radius(r, what: str = "radius"):
+    """``r``, once it is finite and >= 0; ``what`` names it in the error."""
     if not math.isfinite(r):
-        raise ValueError("radius must be finite")
+        raise ValueError(f"{what} must be finite")
     if r < 0:
-        raise ValueError("radius must be >= 0")
+        raise ValueError(f"{what} must be >= 0")
     return r
 
 
@@ -617,12 +613,23 @@ class _PrefixSpace(Space):
     A point of at most ``_PACK_LIMIT`` symbols packs into one int64 code,
     ``_BITS`` bits per symbol, symbol j at bits [bits*j, bits*(j+1)), and
     the distances run on the prefix kernel.  Longer points and custom
-    generating sets take the scalar ``distance``.
+    generating sets take the scalar ``distance``, which is also the
+    reference the kernel is checked against.
     """
 
     _BITS: int
     _PACK_LIMIT: int
     standard = True
+
+    def distance(self, p, q) -> int:
+        """|p| + |q| - 2 lcp(p, q), comparing the points symbol by symbol."""
+        p, q = self.validate(p), self.validate(q)
+        lcp = 0
+        for x, y in zip(p, q):
+            if x != y:
+                break
+            lcp += 1
+        return len(p) + len(q) - 2 * lcp
 
     def _packable(self, ps) -> bool:
         return self.standard and max(map(len, ps), default=0) <= self._PACK_LIMIT
@@ -748,16 +755,9 @@ class FreeGroupSpace(_PrefixSpace):
         return _reduced_lines("\n".join(ps), max(len(ps) - 1, 0))
 
     def distance(self, p, q) -> int:
-        p = self.validate(p)
-        q = self.validate(q)
         if self.standard:
-            lcp = 0
-            for x, y in zip(p, q):
-                if x != y:
-                    break
-                lcp += 1
-            return len(p) + len(q) - 2 * lcp
-        return self._word_length(word_multiply(word_inverse(p), q))
+            return super().distance(p, q)
+        return self._word_length(word_multiply(word_inverse(self.validate(p)), self.validate(q)))
 
     def neighbors(self, v: str) -> list[str]:
         return [word_multiply(v, m) for m in self.moves]
@@ -844,17 +844,6 @@ class BinaryTreeSpace(_PrefixSpace):
 
     def _symbols(self, ps):
         return np.fromiter(itertools.chain.from_iterable(ps), np.int64)
-
-    def distance(self, p, q) -> int:
-        p = self.validate(p)
-        q = self.validate(q)
-        # XOR of the encoded values locates the first disagreeing bit
-        x = tree_vertex_value(p) ^ tree_vertex_value(q)
-        if x == 0:
-            lcp = min(len(p), len(q))
-        else:
-            lcp = min((x & -x).bit_length() - 1, len(p), len(q))
-        return len(p) + len(q) - 2 * lcp
 
     def neighbors(self, v: tuple[int, ...]) -> list[tuple[int, ...]]:
         out = [v + (0,), v + (1,)]

@@ -352,6 +352,11 @@ _NEGATIVE_BALL = (
     "entourage_radius = 1\nballs = -1, 2\n"
 )
 
+_NO_PAIR_ENTOURAGE = (
+    "experiment = higson-defect\nspace = Z^1\nfunction = sin-log\n"
+    "entourage_radius = 0\nballs = 2\n"
+)
+
 # case -> (command, config text with {dir} for the test directory, raw
 # bytes, or None for a config file that does not exist; exit status,
 # manifest written?, text the command prints); the exit-0 rows are
@@ -462,6 +467,12 @@ FAILURE_CONFIGS = {
     ),
     "negative-ball-run": (
         "run", _NEGATIVE_BALL, 2, True, "error: ball radii must be >= 0 (balls = -1, 2)",
+    ),
+    # E_0 holds only the diagonal, so every row reads 0.0 with no witness
+    # (the run once crashed in argmax on the empty pair list)
+    "no-pair-entourage-validate": ("validate", _NO_PAIR_ENTOURAGE, 0, False, "ok"),
+    "no-pair-entourage-run": (
+        "run", _NO_PAIR_ENTOURAGE, 0, True, "defect_at_largest_ball: 0.0",
     ),
     "no-balls-run": (
         "run", _NEGATIVE_BALL.replace("-1, 2", ""), 2, True,

@@ -489,6 +489,22 @@ def test_free_group_translation_images_match_packed_images(data):
 _LIMITS = {rank: np.iinfo(np.int64).max // (2 * rank) for rank in (1, 2)}
 
 
+@pytest.mark.parametrize("by, space, lengths", [
+    ((0, 1), LatticeSpace(1), "length 2 applied to a point of length 1"),
+    ((1,), LatticeSpace(2), "length 1 applied to a point of length 2"),
+], ids=["longer", "shorter"])
+def test_lattice_translation_of_another_length_is_a_mismatch(by, space, lengths):
+    # a longer vector once dropped its extra coordinates, so a profile
+    # certified p -> p + (0, 1) on Z^1 as an isometry
+    f = lattice_translation(by)
+    with pytest.raises(ModelMismatch, match=lengths):
+        f(space.basepoint)
+    with pytest.raises(ModelMismatch, match=lengths):
+        bornologous_profile(f, space, space, [1, 2], 3)
+    with pytest.raises(ModelMismatch, match=lengths):
+        properness_table(f, space, space, [1, 2], 4)
+
+
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_lattice_translation_images_match_coordinates(data):
@@ -618,6 +634,17 @@ def test_free_translation_not_close_to_identity():
 def test_constant_function_has_zero_defect():
     table = higson_defect(lambda p: 1.0, Z1, 5, [10, 20], window_radius=60)
     assert all(row.value == 0 for row in table.rows)
+
+
+@pytest.mark.parametrize("space, radius, balls, window", [
+    (Z1, 0, [2], 5),       # E_0 holds only the diagonal
+    (Z1, 0.5, [1, 3], 6),  # below the least distance of an integer model
+    (Z1, 4, [0], 0),       # a one-point window
+    (F2, 0, [1], 2),       # the ball-by-ball entourage
+], ids=["Z1-radius-0", "Z1-radius-half", "one-point-window", "F2-radius-0"])
+def test_higson_defect_without_pairs_reads_zero(space, radius, balls, window):
+    table = higson_defect(lambda p: 1.0, space, radius, balls, window_radius=window)
+    assert table.rows == tuple(ScaleRow(float(b), 0.0) for b in balls)
 
 
 def test_oscillation_keeps_defect_large():

@@ -258,7 +258,7 @@ def _validate_outcome(grid, p):
 def test_grid_point_lookup_matches_slow_path():
     grid = two_point_grid()
     slow = two_point_grid()
-    slow.__dict__["_points"] = {}  # every point takes canonical_cone_point's path
+    slow.__dict__["point_index"] = {}  # every point takes canonical_cone_point's path
     points = grid.grid_points() + [
         ("x", 2), ("y", np.float64(9.0)), ("x", np.int64(3)), ("x", True),
         (APEX, -0.0), ("x", 0.0), ("x", -0.0), ("y", 0), (np.str_("x"), 1.0),
@@ -352,7 +352,7 @@ def test_profile_memory_grows_with_the_block_not_the_table():
 
     def peak(n):
         sp = ConeSpace(ConeGrid.build(*cycle_graph(n), heights), LINEAR)
-        sp._graph, sp._point_index  # built once per space, outside the profile
+        sp._graph, sp.grid.point_index  # built once per space, outside the profile
 
         def rotate(p):
             node, t = p
@@ -361,7 +361,7 @@ def test_profile_memory_grows_with_the_block_not_the_table():
         tracemalloc.start()
         try:
             bornologous_profile(rotate, sp, sp, [0.5, 1], 16)
-            return tracemalloc.get_traced_memory()[1], len(sp._points)
+            return tracemalloc.get_traced_memory()[1], len(sp.grid.points)
         finally:
             tracemalloc.stop()
 
@@ -417,7 +417,7 @@ CYCLE16_EDGES = Path(__file__).resolve().parent.parent / "configs" / "cycle16.ed
 
 def _dijkstra_table(sp: ConeSpace) -> np.ndarray:
     """All grid distances read off full ``_row_blocks`` rows: the oracle."""
-    return np.vstack([rows for _, rows in sp._row_blocks(np.arange(len(sp._points)))])
+    return np.vstack([rows for _, rows in sp._row_blocks(np.arange(len(sp.grid.points)))])
 
 
 @st.composite
@@ -451,7 +451,7 @@ def test_fold_matches_dijkstra_rows_bit_for_bit(case, data):
     sp, kind = case
     assert (sp._fold is None) == (kind == "flat")
     oracle = _dijkstra_table(sp)
-    pts = sp._points
+    pts = sp.grid.points
     assert np.array_equal(sp.pairwise(pts, pts), oracle)
     n = len(pts)
     i = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=50)))
@@ -468,14 +468,14 @@ def test_fold_matches_dijkstra_rows_where_rows_nearly_tie(n, w, top, per_octave)
     # must keep every row that can win
     sp = ConeSpace(ConeGrid.build(*cycle_graph(n, w), geometric_heights(top, per_octave)), LINEAR)
     assert sp._fold is not None
-    assert np.array_equal(sp.pairwise(sp._points, sp._points), _dijkstra_table(sp))
+    assert np.array_equal(sp.pairwise(sp.grid.points, sp.grid.points), _dijkstra_table(sp))
 
 
 def test_fold_declines_mixed_edge_lengths():
     for lam in (LINEAR, LambdaFunction.sqrt()):
         sp = _chorded_hexagon_space(lam)
         assert sp._fold is None
-        assert np.array_equal(sp.pairwise(sp._points, sp._points), _dijkstra_table(sp))
+        assert np.array_equal(sp.pairwise(sp.grid.points, sp.grid.points), _dijkstra_table(sp))
     grid = ConeGrid.build(*_cycle_with_a_long_edge(6), geometric_heights(8))
     assert ConeSpace(grid, LINEAR)._fold is None
     assert ConeSpace(ConeGrid.build(*cycle_graph(6), geometric_heights(8)), LINEAR)._fold is not None

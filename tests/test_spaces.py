@@ -150,6 +150,11 @@ def test_enumerate_reduced_words_counts():
     assert all(is_reduced(w) for w in enumerate_reduced_words(4))
 
 
+def test_enumerate_reduced_words_rejects_a_negative_length():
+    with pytest.raises(ValueError, match="^length must be >= 0$"):
+        enumerate_reduced_words(-1)
+
+
 # ---------------------------------------------------------------------------
 # distances
 
@@ -477,6 +482,45 @@ def test_prefix_kernel_matches_distance_property(space, symbols, limit, point, d
             assert mat[i, j] == space.distance(p, q)
     for i in range(n):
         assert vec[i] == space.distance(ps[i], qs[i])
+
+
+def _word_oracle(p, q):
+    """d(p, q) = |p^-1 q|, by full free reduction."""
+    return len(reduce_word(word_inverse(p) + q))
+
+
+def _tree_oracle(v, w):
+    """The steps from v and from w to their common ancestor, found by
+    dropping the last bit of the deeper vertex."""
+    steps = 0
+    while v != w:
+        if len(v) >= len(w):
+            v = v[:-1]
+        else:
+            w = w[:-1]
+        steps += 1
+    return steps
+
+
+@pytest.mark.parametrize(
+    "space,symbols,max_len,point,oracle",
+    [
+        (F2, st.integers(0, 3), 30, _reduced_word, _word_oracle),
+        (T2, st.integers(0, 1), 70, tuple, _tree_oracle),
+    ],
+    ids=["F2", "T2"],
+)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_prefix_distance_matches_an_independent_oracle(space, symbols, max_len, point,
+                                                       oracle, data):
+    # past the packing limit the kernel falls back to distance itself,
+    # so distance needs a reference of its own there
+    sides = data.draw(_near_points(symbols, max_len))
+    ps, qs = ([point(s) for s in side] for side in sides)
+    expected = [[oracle(p, q) for q in qs] for p in ps]
+    assert [[space.distance(p, q) for q in qs] for p in ps] == expected
+    assert space.pairwise(ps, qs).tolist() == expected
 
 
 @pytest.mark.parametrize("space", [Z1, Z2], ids=["Z1", "Z2"])
