@@ -100,7 +100,6 @@ class CoarseReport:
 class HigsonDefectTable:
     """Per-ball suprema of |f(y) - f(x)| over an entourage, outside B x B."""
 
-    entourage_radius: float
     rows: tuple[ScaleRow, ...]
 
     def to_csv(self) -> str:
@@ -234,9 +233,13 @@ def bornologous_profile(
 
     The verdict is always ``certified-at-scale``: finite data bounds the
     profile on the sampled window and proves nothing beyond it.  The
-    source side is reused for one (source, sample radius) at a time.  A
-    translation of the source into itself is applied to the sample's
-    array form (``_translated``); any other map, point by point.
+    source side is reused for one (source, sample radius, max R) at a
+    time: where the source lists at most ``source.cap`` pairs, their
+    index pairs and source distances are held, and a call computes only
+    the target distances and the per-radius maxima; otherwise the pairs
+    are found afresh, a batch at a time.  A translation of the source
+    into itself is applied to the sample's array form (``_translated``);
+    any other map, point by point.
     """
     radii = _radii(DEFAULT_RADII if radii is None else radii)
     # Only pairs in E_R for the largest R can count, so the target
@@ -245,7 +248,7 @@ def bornologous_profile(
     # diagonal.  Float (cone) distances need not be exactly symmetric
     # and keep full rows.
     upper = source.integer_metric and target.integer_metric
-    pts, packed, src, listed = _profile_sample(
+    pts, packed, src, listed, batches = _profile_sample(
         source, _sample_radius(source, sample_radius), radii[-1], upper
     )
     moved = _translated(f, source, target, packed)
@@ -254,8 +257,10 @@ def bornologous_profile(
     else:
         tgt = target._kernel(moved, moved)
 
+    if batches is None:  # none held: listed afresh, or kept from source blocks
+        batches = _entourage_batches(pts, src, radii[-1], upper, listed)
     best = {r: (-math.inf, None, None) for r in radii}
-    for i, j, dsrc in _entourage_batches(source, pts, src, radii[-1], upper, listed):
+    for i, j, dsrc in batches:
         dtgt = tgt(i, j)
         if dtgt.dtype != np.uint8:
             dtgt = dtgt.astype(float)  # other kernels' distances compare as floats
@@ -290,14 +295,25 @@ def bornologous_profile(
 def _profile_sample(source: Space, sample_radius, r, upper: bool):
     """The source side of a profile: the sample ball's points, their
     array form (``Space._packed``, or None), the source kernel limited
-    to ``r``, and the source's listing of the pairs within ``r`` (None
-    where it gives none, or unless ``upper``).  Only compact runs are
-    held, never the pairs."""
+    to ``r``, the source's listing of the pairs within ``r`` (None
+    where it gives none, or unless ``upper``), and the batches
+    ``(i, j, d)`` of ``_entourage_batches``, held read-only when the
+    listing has at most ``source.cap`` pairs, else None.
+
+    The held batches take 17 bytes a pair (two int64 indices and a uint8
+    distance), so at most 17 B x cap; a listing over the cap keeps only
+    its compact runs, and its pairs are expanded afresh on each call."""
     pts = tuple(source.closed_ball(source.basepoint, sample_radius))
     listed = source._listed_pairs(pts, r) if upper else None
     packed = source._packed(pts)
     src = source._distances_at(pts, limit=r) if packed is None else source._kernel(packed, packed)
-    return pts, packed, src, listed
+    held = None
+    if listed is not None and listed.counts.sum() <= source.cap:
+        held = tuple(_entourage_batches(pts, src, r, upper, listed))
+        for batch in held:
+            for a in batch:
+                a.flags.writeable = False
+    return pts, packed, src, listed, held
 
 
 def _translated(f: Callable, source: Space, target: Space, packed):
@@ -318,17 +334,14 @@ def _base_distances(space: Space, packed) -> np.ndarray:
     return space._kernel(space._packed([space.basepoint]), packed)(0, slice(None)).astype(float)
 
 
-def _entourage_batches(source: Space, pts: Sequence, src: Callable, r, upper: bool,
-                       listed=None):
+def _entourage_batches(pts: Sequence, src: Callable, r, upper: bool, listed):
     """The index pairs (i, j) of ``pts`` within ``r`` under the source
     kernel ``src``, with their distances d: row-major batches
     ``(i, j, d)``, each but the last of at least ``BLOCK_PAIRS`` pairs,
-    j >= i when ``upper``.  The source lists them where it can
-    (``listed``, or else ``_listed_pairs``); otherwise they are kept
-    from blocks of ``src`` rows, rows i0:i1 reading columns i0: when
-    ``upper``."""
-    if listed is None and upper:
-        listed = source._listed_pairs(pts, r)
+    j >= i when ``upper``.  They are the source's listing ``listed``
+    (``Space._listed_pairs``) where it gives one; otherwise they are
+    kept from blocks of ``src`` rows, rows i0:i1 reading columns i0:
+    when ``upper``."""
     if listed is not None:
         for i, j in listed:
             yield i, j, src(i, j)
@@ -512,7 +525,7 @@ def higson_defect(
             sup, k = hit
             rows.append(ScaleRow(float(b), sup, space.format_point(points[src[k]]),
                                  space.format_point(points[dst[k]])))
-    return HigsonDefectTable(float(entourage_radius), tuple(rows))
+    return HigsonDefectTable(tuple(rows))
 
 
 def _window(f: Callable, space: Space, radius):

@@ -534,8 +534,6 @@ class DiagnosticRow:
 
 @dataclass(frozen=True)
 class DiagnosticTable:
-    entourage_radius: float
-    slack: float
     rows: tuple[DiagnosticRow, ...]
 
     def all_passed(self) -> bool:
@@ -609,4 +607,4 @@ def compactification_diagnostic(
             measured = max(measured, float(sep))
         bound = entourage_radius / lam(t)
         rows.append(DiagnosticRow(t, measured, bound, measured <= bound * (1.0 + slack)))
-    return DiagnosticTable(float(entourage_radius), slack, tuple(rows))
+    return DiagnosticTable(tuple(rows))

@@ -583,7 +583,9 @@ class _RunPairs:
     ``first[i, t] + counts[i, t]``, row by row.  Each iteration expands
     them afresh into batches of index arrays, each ending with the run
     that brings it to at least ``BLOCK_PAIRS`` pairs; only the runs are
-    held, read-only."""
+    held, read-only, and ``counts.sum()`` pairs are listed.  A caller
+    that reuses the pairs holds the batches itself, as the profile memo
+    ``coarse._profile_sample`` does up to the source's cap."""
 
     first: np.ndarray
     counts: np.ndarray

@@ -251,12 +251,11 @@ def _entourage_pairs(space, ps, r, listed=True, block=coarse.BLOCK_PAIRS):
     ``ps``, j >= i, and the sizes of its batches: listed by the space,
     or kept from blocks of the source kernel with the listing hook
     patched to return None."""
-    hook = type(space)._listed_pairs if listed else (lambda self, ps, r: None)
     src = space._distances_at(ps, limit=r)
-    with mock.patch.object(type(space), "_listed_pairs", hook), \
-            mock.patch.object(spaces, "BLOCK_PAIRS", block), \
+    with mock.patch.object(spaces, "BLOCK_PAIRS", block), \
             mock.patch.object(coarse, "BLOCK_PAIRS", block):
-        batches = list(coarse._entourage_batches(space, ps, src, r, True))
+        runs = space._listed_pairs(ps, r) if listed else None
+        batches = list(coarse._entourage_batches(ps, src, r, True, runs))
     pairs = tuple(np.concatenate([b[k] for b in batches] or [[]]).tolist() for k in range(3))
     return pairs, [len(b[0]) for b in batches]
 
@@ -381,6 +380,66 @@ def test_sample_over_the_cap_raises_on_every_call():
         # a sample under the cap in between fills the memos
         bornologous_profile(lambda p: p, small, small, [1], 3)
         properness_table(lambda p: p, small, small, [1], 3)
+
+
+def _batch_lists(batches):
+    return [[a.tolist() for a in batch] for batch in batches]
+
+
+# source, a map of it into itself, sample radius, radii: a few pairs a
+# point, many, and (T2 at max R 12) every pair of the ball
+_HELD_CASES = {
+    "F2-3-1": (F2, right_translation("ab"), 3, [1]),
+    "F2-4-3": (F2, right_translation("bA"), 4, [1, 2, 3]),
+    "F2-6-6": (F2, right_translation("abA"), 6, [1, 2, 3, 4, 5, 6]),
+    "T2-4-2": (T2, odometer_step, 4, [0.5, 2]),
+    "T2-6-5": (T2, odometer_step, 6, [1, 3, 5]),
+    "T2-5-12": (T2, odometer_step, 5, [2, 12]),
+}
+
+
+@pytest.mark.parametrize("case", list(_HELD_CASES))
+def test_held_batches_equal_streamed_batches(case):
+    space, f, radius, radii = _HELD_CASES[case]
+    coarse._profile_sample.cache_clear()
+    held_report = bornologous_profile(f, space, space, radii, radius)
+    pts, _, src, listed, held = coarse._profile_sample(space, radius, radii[-1], True)
+    assert held is not None and coarse._profile_sample.cache_info().hits == 1
+    streamed = coarse._entourage_batches(pts, src, radii[-1], True, listed)
+    assert _batch_lists(held) == _batch_lists(streamed)
+    for batch in held:
+        for a in batch:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    # a cap between the ball size and the pair count: the profile streams
+    pairs = int(listed.counts.sum())
+    capped = type(space)(cap=pairs - 1)
+    assert len(pts) <= capped.cap
+    assert bornologous_profile(f, capped, capped, radii, radius) == held_report
+    assert coarse._profile_sample(capped, radius, radii[-1], True)[4] is None
+
+
+@pytest.mark.parametrize("cap, expansions", [(spaces.DEFAULT_CAP, 1), (10_000, 53)])
+def test_translation_profiles_expand_the_listed_pairs_once(cap, expansions):
+    # criterion 4: the right translations by the 53 words of B(e, 3) over
+    # B(e, 6), whose E_6 holds 57,591 pairs, list them once under the
+    # default cap; under a smaller cap every profile expands them afresh
+    coarse._profile_sample.cache_clear()
+    source, words = FreeGroupSpace(cap=cap), F2.closed_ball("", 3)
+    radii, calls, expand = [1, 2, 3, 4, 5, 6], [], spaces._RunPairs.__iter__
+
+    def counted(runs):
+        calls.append(runs)
+        return expand(runs)
+
+    with mock.patch.object(spaces._RunPairs, "__iter__", counted):
+        reports = [bornologous_profile(right_translation(h), source, source, radii, 6)
+                   for h in words]
+    assert len(words) == 53 and len(calls) == expansions
+    assert coarse._profile_sample.cache_info().hits == 52
+    for h, rep in zip(words, reports):
+        assert all(row.value <= row.scale + 2 * len(h) for row in rep.rows)
 
 
 # ---------------------------------------------------------------------------
