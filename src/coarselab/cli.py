@@ -35,7 +35,6 @@ from .spaces import (
     Space,
     _as_int_radius,
     _number,
-    _PrefixSpace,
 )
 
 
@@ -349,18 +348,21 @@ def _start(cfg: ExperimentConfig, space: Space):
     return space.basepoint if start is None else parse_point(space, start)
 
 
-def _over_cap_balls(space: _PrefixSpace, radii: list, sample_radius, domain_radius):
-    """verify-coarse on the standard F2 or tree: raise for the sample and
-    domain balls about the root that would hold more points than the cap,
-    from the ball sizes the enumeration checks against it."""
+def _over_cap_balls(space: Space, radii: list, sample_radius, domain_radius):
+    """verify-coarse: raise for the sample and domain balls about the
+    basepoint that would hold more points than the cap, from the ball
+    sizes the enumeration checks against it (``Space._ball_size``: the
+    standard F2, tree, Z^k and N^k).  As in the enumeration, a ball of
+    radius 0 is not checked."""
     balls = {
         "sample ball": coarse._sample_radius(space, sample_radius),
         "domain ball": coarse._horizons(radii, domain_radius)[-1],
     }
     over = []
     for name, r in balls.items():
-        size = space._ball_size(_as_int_radius(r))
-        if size > space.cap:
+        radius = _as_int_radius(r)
+        size = space._ball_size(radius) if radius else None
+        if size is not None and size > space.cap:
             over.append(f"{name} B({space.format_point(space.basepoint)}, {r:g}) would hold "
                         f"{size} points, over the cap of {space.cap}")
     if over:
@@ -373,8 +375,7 @@ def _verify_coarse(cfg: ExperimentConfig):
     radii = cfg.checked_numbers("radii", coarse._radii, "1,2,4,8")
     sample_radius = cfg.optional_number("sample_radius")
     domain_radius = cfg.optional_number("domain_radius")
-    if isinstance(space, _PrefixSpace) and space.standard:
-        _over_cap_balls(space, radii, sample_radius, domain_radius)
+    _over_cap_balls(space, radii, sample_radius, domain_radius)
 
     def compute():
         report = actions.verify_coarse_action(action, space, radii, sample_radius, domain_radius)

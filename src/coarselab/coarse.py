@@ -566,12 +566,17 @@ def _translated_entourage(space: LatticeSpace, points: list, radius: float):
     translation-invariant: B(p, R) = p + B(0, R).
 
     The offsets B(0, R) come from the signed ambient lattice, so N^k keeps
-    the negative ones.  Each point gets a mixed-radix key, exact (int64,
-    or Python integers when the key range passes int64), that is linear
-    in its coordinates, so the key of p + o is key(p) + key(o) and one
-    sorted search finds which translates are window points.  Offsets stay
-    in ``closed_ball``'s lexicographic order, which translation keeps, so
-    the pairs come in the same order as ball by ball.
+    the negative ones.  Each point gets a mixed-radix key from its offset
+    to the window's corner, exact (int64, or Python integers when the key
+    range passes int64, whatever the coordinates' own size), that is linear
+    in its coordinates, so the key of p + o is key(p) + key(o), and every
+    such key lies in the range of the window's keys widened by the
+    offsets'.  When that range holds at most ``space.cap`` keys, a table
+    of the window index at each key (-1 elsewhere) finds which translates
+    are window points in one gather, in at most 8 B x cap; otherwise one
+    sorted search does.  Offsets stay in ``closed_ball``'s lexicographic
+    order, which translation keeps, so the pairs come in the same order as
+    ball by ball.
     """
     ambient = dataclasses.replace(space, signed=True)
     offsets = ambient.closed_ball(ambient.basepoint, radius)
@@ -579,22 +584,30 @@ def _translated_entourage(space: LatticeSpace, points: list, radius: float):
     lo = [int(a) + int(b) for a, b in zip(coords.min(axis=0), steps.min(axis=0))]
     hi = [int(a) + int(b) for a, b in zip(coords.max(axis=0), steps.max(axis=0))]
     spans = [h - l + 1 for l, h in zip(lo, hi)]
-    dtype = np.int64 if math.prod(spans) <= np.iinfo(np.int64).max else object
+    size = math.prod(spans)
+    dtype = np.int64 if size <= np.iinfo(np.int64).max else object
     radix = np.array([math.prod(spans[d + 1:]) for d in range(len(spans))], dtype=dtype)
-    keys = ((coords.astype(dtype) - np.array(lo, dtype=dtype)) * radix).sum(axis=1)
+    # coordinates past int64 are Python integers, but their offsets from lo fit
+    keys = ((coords - np.array(lo, dtype=coords.dtype)).astype(dtype) * radix).sum(axis=1)
     shifts = (steps.astype(dtype) * radix).sum(axis=1)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
+    if dtype is np.int64 and size <= space.cap:
+        table = np.full(size, -1)
+        table[keys] = np.arange(len(points))
+        find = table.__getitem__
+    else:
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+
+        def find(cand):
+            pos = np.minimum(np.searchsorted(sorted_keys, cand), len(points) - 1)
+            return np.where(sorted_keys[pos] == cand, order[pos], -1)
 
     src, dst = [], []
     # 64k candidates a chunk
     chunk = max(1, 65_536 // len(shifts))
     for i0 in range(0, len(points), chunk):
-        cand = keys[i0:i0 + chunk, None] + shifts
-        pos = np.minimum(np.searchsorted(sorted_keys, cand), len(points) - 1)
-        j = order[pos]
-        ids = np.arange(i0, i0 + len(cand))
-        rows, cols = np.nonzero((sorted_keys[pos] == cand) & (j > ids[:, None]))
+        j = find(keys[i0:i0 + chunk, None] + shifts)
+        rows, cols = np.nonzero(j > np.arange(i0, i0 + len(j))[:, None])
         src.append(rows + i0)
         dst.append(j[rows, cols])
     return np.concatenate(src), np.concatenate(dst)

@@ -31,11 +31,12 @@ group also move an array form by a translation (``_translated``), so a
 certifier can measure a translated ball without mapping its points one
 by one.  The lattice, free-group and tree models give ``neighbors(v)``,
 which drives their breadth-first word lengths and ball enumeration,
-except at the root of the standard free group and tree, whose balls are
-listed level by level.  Those two models also list the pairs of a
-sorted point list within a radius, ``_listed_pairs(ps, r)``, as runs of
-points sharing a prefix, at a cost that grows with the pairs and not
-with len(ps)^2.
+except where a ball is listed directly: at the root of the standard free
+group and tree, level by level, and about any int64-safe center of the
+standard Z^k and N^k, one coordinate at a time.  The free group and the
+tree also list the pairs of a sorted point list within a radius,
+``_listed_pairs(ps, r)``, as runs of points sharing a prefix, at a cost
+that grows with the pairs and not with len(ps)^2.
 
 All lattice / word / tree distances are exact integers; no floating
 point enters these models.  Ball enumeration is capped (default 10^6
@@ -54,7 +55,6 @@ from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from operator import add
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -179,8 +179,11 @@ class Space:
     ``_kernel``, from which ``pairwise`` and ``paired`` are derived.
     Graph models provide ``neighbors``, from which ``_word_length`` and
     the breadth-first ``closed_ball`` are derived; a graph model that can
-    list a ball directly (the standard free group and tree at the root)
-    gives ``_listed_ball``.  Other models override ``closed_ball``.  A
+    list a ball directly gives ``_listed_ball``: the standard free group
+    and tree at the root, and the standard Z^k and N^k about a center
+    whose ball stays in int64.  Such a model also gives the ball's size
+    from a closed form, ``_ball_size``, which the listing checks against
+    the cap before it lists.  Other models override ``closed_ball``.  A
     model that can list the pairs of points within a radius without a
     distance table (the standard free group and tree, on points sorted
     as ``closed_ball`` gives them) gives ``_listed_pairs``.
@@ -224,6 +227,11 @@ class Space:
         """``closed_ball(center, radius)`` listed directly, with the
         search's cap check, or None to send ``closed_ball`` to the
         search."""
+        return None
+
+    def _ball_size(self, radius: int) -> int | None:
+        """How many points ``closed_ball(basepoint, radius)`` counts
+        against the cap, where the model has a closed form; else None."""
         return None
 
     def _listed_pairs(self, ps: Sequence, r) -> Iterable | None:
@@ -457,8 +465,50 @@ class LatticeSpace(Space):
             return sum(abs(c) for c in delta)
         return self._word_length(delta)
 
+    @cached_property
+    def _steps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # each move as its nonzero (coordinate, change) pairs
+        return tuple(tuple((i, c) for i, c in enumerate(m) if c) for m in self.moves)
+
     def neighbors(self, v: tuple[int, ...]) -> list[tuple[int, ...]]:
-        return [tuple(map(add, v, m)) for m in self.moves]
+        out = []
+        for step in self._steps:
+            w = list(v)
+            for i, c in step:
+                w[i] += c
+            out.append(tuple(w))
+        return out
+
+    def _ball_size(self, radius):
+        # |B(0, r)| in Z^k is the sum over i of 2^i C(k, i) C(r, i); N^k
+        # counts it too, as its search steps through the ambient Z^k
+        if not self.standard:
+            return None
+        k = self.rank
+        return sum(2**i * math.comb(k, i) * math.comb(radius, i) for i in range(min(k, radius) + 1))
+
+    def _listed_ball(self, center, radius):
+        # On the standard generators closed_ball's order is lexicographic,
+        # so B(c, r) is listed one coordinate at a time: each listed prefix
+        # is followed by the values of the next coordinate within its
+        # remaining l1 budget, in increasing order (on N^k, those that stay
+        # in the orthant).  Centers whose ball passes _coords' int64 range
+        # keep the search.
+        if not self.standard or max(map(abs, center)) + radius > self._int64_limit:
+            return None
+        if radius:  # the search checks no cap for the center alone
+            self._check_cap(self._ball_size(radius))
+        ball = np.zeros((1, 0), np.int64)
+        budget = np.array([radius])
+        for c in center:
+            low = -budget if self.signed else np.maximum(-budget, -c)
+            counts = budget - low + 1
+            row = np.repeat(np.arange(len(ball)), counts)
+            # the t-th value after a prefix's first is low + t
+            value = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - low, counts)
+            ball = np.column_stack([ball[row], value + c])
+            budget = budget[row] - np.abs(value)
+        return list(map(tuple, ball.tolist()))
 
     def _restrict(self, points):
         # N^k balls are enumerated in the ambient Z^k
@@ -466,10 +516,16 @@ class LatticeSpace(Space):
             return points
         return [p for p in points if all(c >= 0 for c in p)]
 
+    @property
+    def _int64_limit(self) -> int:
+        """The largest |coordinate| that ``_coords`` keeps in int64: every
+        l1 distance among such points fits."""
+        return np.iinfo(np.int64).max // (2 * self.rank)
+
     def _coords(self, ps) -> np.ndarray:
         """Validated points as an int64 array while every l1 distance among
         them fits in int64, else as an array of exact Python integers."""
-        limit = np.iinfo(np.int64).max // (2 * self.rank)
+        limit = self._int64_limit
         n = len(ps) * self.rank
         try:
             a = np.fromiter(itertools.chain.from_iterable(ps), np.int64, n)
@@ -499,7 +555,7 @@ class LatticeSpace(Space):
         if not isinstance(translation, tuple) or packed.dtype != np.int64:
             return None
         g = _integer_tuples([translation], self.rank)
-        limit = np.iinfo(np.int64).max // (2 * self.rank)
+        limit = self._int64_limit
         if g is None or max(map(abs, g)) > limit:
             return None
         moved = packed + np.array(g, np.int64)  # |p|, |g| <= limit: no overflow
@@ -686,10 +742,6 @@ class _PrefixSpace(Space):
         marked = ca | (1 << 62)
         return lambda i, j: _prefix_distance(marked[i], la[i], cb[j], lb[j], self._BITS)
 
-    def _ball_size(self, radius: int) -> int:
-        """|B(root, radius)| in the standard model."""
-        raise NotImplementedError
-
     def _children(self, level: list) -> list:
         """The points one level below ``level``, each point's children
         in sorted order."""
@@ -796,7 +848,7 @@ class FreeGroupSpace(_PrefixSpace):
         return codes, lengths.astype(np.uint8)
 
     def _ball_size(self, radius):
-        return 2 * 3**radius - 1
+        return 2 * 3**radius - 1 if self.standard else None
 
     def _children(self, level):
         return [w + ch for w in level for ch in _CHILD_LETTERS[w[-1:]]]

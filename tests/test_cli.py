@@ -20,6 +20,7 @@ from coarselab.cli import (
 )
 from coarselab.spaces import (
     BinaryTreeSpace,
+    CapExceeded,
     FreeGroupSpace,
     LatticeSpace,
     _number,
@@ -347,6 +348,11 @@ _BALLS_1_0 = (
     "entourage_radius = 1\nballs = 2, 1/0\n"
 )
 
+_Z3_SMALL_CAP = (
+    "experiment = verify-coarse\nspace = Z^3\naction = self-translation\n"
+    "sample_radius = 2\ndomain_radius = 3\ncap = 30\n"
+)
+
 _NEGATIVE_BALL = (
     "experiment = higson-defect\nspace = Z^1\nfunction = sin-log\n"
     "entourage_radius = 1\nballs = -1, 2\n"
@@ -507,6 +513,21 @@ FAILURE_CONFIGS = {
         "sample_radius = 20\ndomain_radius = 4\n",
         2, False,
         "diagnostic: sample ball B(*, 20) would hold 2097151 points, over the cap of 1000000",
+    ),
+    # the standard Z^k and N^k predict their balls as F2 and the tree do
+    "z3-domain-over-cap-validate": (
+        "validate", _Z3_SMALL_CAP, 2, False,
+        "diagnostic: domain ball B((0,0,0), 3) would hold 63 points, over the cap of 30",
+    ),
+    "z3-domain-over-cap-run": (
+        "run", _Z3_SMALL_CAP, 2, True,
+        "error: domain ball B((0,0,0), 3) would hold 63 points, over the cap of 30",
+    ),
+    # N^2's search counts the ambient Z^2 ball: 13 points, of which N^2 holds 6
+    "n2-sample-over-cap-run": (
+        "run", "experiment = verify-coarse\nspace = N^2\naction = self-translation\n"
+        "sample_radius = 2\ndomain_radius = 1\ncap = 12\n",
+        2, True, "error: sample ball B((0,0), 2) would hold 13 points, over the cap of 12",
     ),
     "window-not-a-number-validate": (
         "validate", _NEGATIVE_BALL.replace("-1, 2", "5\nwindow_radius = x"), 2, False,
@@ -691,6 +712,33 @@ def test_validate_agrees_with_run(case, tmp_path, capsys):
     line = capsys.readouterr().out.strip()
     assert line.startswith("error: ")
     assert validate(load_config(cfg)) == [line[len("error: "):]]
+
+
+@pytest.mark.parametrize("space,action", [
+    ("Z^1", "self-translation"), ("Z^3", "self-translation"), ("N^2", "self-translation"),
+    ("F2", "right-multiply\nby = a"), ("tree", "odometer"),
+])
+@pytest.mark.parametrize("sample_radius", [0, 2])
+@pytest.mark.parametrize("cap", [0, 4, 12, 25, 63])
+def test_validate_reports_the_balls_run_cannot_enumerate(space, action, sample_radius, cap):
+    cfg = cfg_from(f"experiment = verify-coarse\nspace = {space}\naction = {action}\n"
+                   f"sample_radius = {sample_radius}\ndomain_radius = 3\ncap = {cap}\n")
+    sp = space_from_config(cfg)
+    over = set()
+    for name, r in (("sample ball", sample_radius), ("domain ball", 3)):
+        try:
+            sp.closed_ball(sp.basepoint, r)
+        except CapExceeded:
+            over.add(name)
+    reported = validate(cfg)
+    assert {name for name in ("sample ball", "domain ball") if name in "".join(reported)} == over
+    # the certifier itself, past the reader, raises exactly when validate reports
+    try:
+        actions.verify_coarse_action(build_action(cfg, sp), sp, [1, 2], sample_radius, 3)
+    except CapExceeded:
+        assert over
+    else:
+        assert not over and reported == []
 
 
 def test_main_batch_continues_after_config_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -787,6 +788,49 @@ def test_entourage_matches_brute_force(space, window, radius):
     table = higson_defect(f, space, radius, balls, window_radius=window)
     rows = [(r.scale, r.value, r.witness_src, r.witness_dst) for r in table.rows]
     assert rows == _defect_oracle(space, points, pairs, f, balls)
+
+
+def _pairs(built):
+    src, dst = built
+    return list(zip(src.tolist(), dst.tolist()))
+
+
+@pytest.mark.parametrize(
+    "space,window,radius",
+    [
+        (Z1, 12, 3),
+        (LatticeSpace(2), 6, 2),
+        (LatticeSpace(3), 4, 2),
+        (LatticeSpace(2, signed=False), 6, 2),
+        (LatticeSpace(2, generators=((1, 2), (0, 3))), 4, 3),
+    ],
+    ids=["Z1", "Z2", "Z3", "N2", "Z2-custom"],
+)
+def test_direct_address_entourage_matches_the_sorted_search(space, window, radius):
+    points = list(word_metric_bfs_oracle(space, window))
+    with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
+        direct = _pairs(_translated_entourage(space, points, radius))
+        assert not search.called
+        # a cap that holds the offsets ball but not the key range keeps the search
+        offsets = len(dataclasses.replace(space, signed=True).closed_ball(space.basepoint, radius))
+        searched = _pairs(_translated_entourage(
+            dataclasses.replace(space, cap=offsets), points, radius))
+        assert search.called
+    assert direct == searched == _pairs(_ball_entourage(space, points, radius))
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["span-in-int64", "span-past-int64"])
+def test_entourage_past_int64(far):
+    # coordinates past int64 whose key range fits int64 take the table; with
+    # a window across 2^70 the keys pass int64 too, and the search is kept
+    cluster = [(x, y) for x in range(-3, 4) for y in range(-3, 4) if abs(x) + abs(y) <= 3]
+    points = [(2**70 + x, y) for x, y in cluster] + (cluster if far else [])
+    space = LatticeSpace(2)
+    with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
+        pairs = _pairs(_translated_entourage(space, points, 2))
+        assert search.called == far
+    assert pairs == _pairs(_ball_entourage(space, points, 2))
+    assert len(pairs) == (2 if far else 1) * len(_pairs(_ball_entourage(space, cluster, 2)))
 
 
 def test_higson_witnesses_under_ties():

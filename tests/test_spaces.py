@@ -262,7 +262,7 @@ def test_listed_balls_keep_the_search_cap(space, r):
     )
 
 
-@pytest.mark.parametrize("space", [F2, T2], ids=["F2", "T2"])
+@pytest.mark.parametrize("space", [F2, T2, Z2, LatticeSpace(3)], ids=["F2", "T2", "Z2", "Z3"])
 def test_ball_size_counts_the_ball(space):
     # validate predicts verify-coarse's balls against the cap from _ball_size
     for r in range(8):
@@ -278,6 +278,101 @@ def test_custom_free_group_balls_come_from_the_search(generators):
         assert space.closed_ball(space.basepoint, r) == _searched_ball(
             space, space.basepoint, r
         )
+
+
+_LATTICES = {
+    **{f"Z{k}": LatticeSpace(k) for k in range(1, 5)},
+    **{f"N{k}": LatticeSpace(k, signed=False) for k in range(1, 4)},
+}
+
+
+def _int64_safe(space):
+    """The largest |coordinate| that ``LatticeSpace._coords`` keeps in int64."""
+    return np.iinfo(np.int64).max // (2 * space.rank)
+
+
+def _lattice_centers(space, r):
+    """(center, listed) pairs: the origin, off-origin centers, centers whose
+    ball just stays in or just leaves the int64-safe range, and one beyond
+    int64, each with whether ``_listed_ball`` takes it."""
+    k, edge = space.rank, _int64_safe(space) - r
+    centers = [((0,) * k, True), ((1,) + (3,) * (k - 1), True),
+               ((edge,) + (0,) * (k - 1), True), ((edge + 1,) + (0,) * (k - 1), False),
+               ((0,) * (k - 1) + (2**70,), False)]
+    if space.signed:
+        centers += [((-2,) * k, True), ((0,) * (k - 1) + (-edge,), True),
+                    ((0,) * (k - 1) + (-edge - 1,), False)]
+    return centers
+
+
+@pytest.mark.parametrize("space", list(_LATTICES.values()), ids=list(_LATTICES))
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 2.5])
+def test_lattice_listed_balls_match_the_search(space, r):
+    for center, listed in _lattice_centers(space, math.floor(r)):
+        assert (space._listed_ball(center, math.floor(r)) is not None) == listed
+        ball = space.closed_ball(center, r)
+        assert ball == _searched_ball(space, center, r)
+        assert {type(c) for p in ball for c in p} == {int}
+
+
+@pytest.mark.parametrize("space", list(_LATTICES.values()), ids=list(_LATTICES))
+@pytest.mark.parametrize("r", [0, 1, 3])
+def test_lattice_listed_balls_keep_the_search_cap(space, r):
+    # N^k counts its ball in the ambient Z^k, as its search steps through it
+    n = space._ball_size(r)
+    assert n == len(_searched_ball(replace(space, signed=True), space.basepoint, r))
+    for center, _ in _lattice_centers(space, r):
+        assert replace(space, cap=n).closed_ball(center, r) == _searched_ball(space, center, r)
+        tight = replace(space, cap=n - 1)
+        if r == 0:  # the search counts no cap for the center alone
+            assert tight.closed_ball(center, r) == [center]
+            continue
+        with pytest.raises(CapExceeded) as searched:
+            _searched_ball(tight, center, r)
+        with pytest.raises(CapExceeded) as listed:
+            tight.closed_ball(center, r)
+        assert str(listed.value) == str(searched.value) == (
+            f"ball enumeration exceeded cap of {n - 1} points"
+        )
+
+
+def test_n2_ball_counts_the_ambient_ball_against_the_cap():
+    # B((0, 0), 1) in N^2 holds 3 points, but the search counts Z^2's 5
+    space = LatticeSpace(2, signed=False, cap=4)
+    assert len(N2.closed_ball((0, 0), 1)) == 3
+    for enumerate_ball in (space.closed_ball, lambda c, r: _searched_ball(space, c, r)):
+        with pytest.raises(CapExceeded, match="^ball enumeration exceeded cap of 4 points$"):
+            enumerate_ball((0, 0), 1)
+
+
+def test_custom_lattice_balls_come_from_the_search():
+    space = LatticeSpace(2, generators=((1, 2), (0, 3)))
+    assert space._ball_size(2) is None
+    for r in range(4):
+        assert space._listed_ball(space.basepoint, r) is None
+        assert space.closed_ball(space.basepoint, r) == _searched_ball(
+            space, space.basepoint, r
+        )
+
+
+@pytest.mark.parametrize(
+    "space,points",
+    [
+        (Z2, [(0, 0), (3, -7), (np.int64(2), 5)]),
+        (N2, [(0, 0), (0, 4)]),
+        (LatticeSpace(3), [(1, 2, 3)]),
+        (LatticeSpace(2, generators=((1, 2), (0, 3))), [(0, 0), (-4, 9)]),
+        (LatticeSpace(1, generators=((2,), (3,))), [(5,)]),
+        (Z2, [(2**70, -(2**64)), (-(2**63), 2**63 - 1)]),
+    ],
+    ids=["Z2", "N2", "Z3", "Z2-custom", "Z1-custom", "Z2-big"],
+)
+def test_neighbors_add_each_move(space, points):
+    for v in points:
+        v = space.validate(v)
+        steps = space.neighbors(v)
+        assert steps == [tuple(a + b for a, b in zip(v, m)) for m in space.moves]
+        assert {type(c) for w in steps for c in w} == {int}
 
 
 # ---------------------------------------------------------------------------
