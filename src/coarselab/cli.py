@@ -6,7 +6,8 @@ the measured inequalities), 2 on configuration errors, and 3 when an
 internal check of a certifier fails (a map declared isometric is not,
 or a certificate does not re-check).  Every run writes a manifest, also
 on failure, that echoes the config and pins the seed, so re-running a
-manifest's config reproduces the CSV outputs byte for byte.
+manifest's config reproduces the CSV outputs byte for byte; only an
+output directory that cannot be written leaves none (exit 2).
 """
 
 from __future__ import annotations
@@ -582,7 +583,9 @@ def run(cfg: ExperimentConfig, out_dir=None, seed: int | None = None,
     """Execute one experiment; the manifest is written even on failure.
 
     Raises ``ConfigError`` when the config cannot run; a certifier's
-    failed internal check is re-raised once the manifest records it.
+    failed internal check is re-raised once the manifest records it.  An
+    output that cannot be written raises its ``OSError``: the one failure
+    that can leave no manifest.
     """
     raw = dict(cfg.raw)
     if seed is not None:
@@ -633,8 +636,10 @@ def _run_status(path, out, seed, cap) -> tuple[int, RunManifest | str]:
     with the error line when the run raised."""
     try:
         manifest = run(load_config(path), out, seed, cap)
-    except (ConfigError, CapExceeded) as exc:
+    except ConfigError as exc:
         return 2, f"error: {exc}"
+    except OSError as exc:
+        return 2, f"error: cannot write outputs: {exc}"
     except _INTERNAL_CHECKS as exc:
         return 3, f"internal check failed: {type(exc).__name__}: {exc}"
     return (1 if manifest.verdicts.get("refuted") else 0), manifest

@@ -9,7 +9,6 @@ concrete witness pair that a single distance evaluation re-checks.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import math
 from dataclasses import dataclass
@@ -21,7 +20,6 @@ import numpy as np
 from .spaces import (
     BLOCK_PAIRS,
     BinaryTreeSpace,
-    LatticeSpace,
     Space,
     _check_radius,
     word_metric_bfs_oracle,
@@ -143,13 +141,10 @@ def _masked_max(mask: np.ndarray, values: np.ndarray) -> tuple[float, int] | Non
     return float(masked.flat[k]), k
 
 
-def default_sample_radius(space: Space) -> int:
-    return 9 if isinstance(space, BinaryTreeSpace) else 8
-
-
 def _sample_radius(space: Space, sample_radius):
+    """``sample_radius``, checked; by default 9 on the tree, else 8."""
     if sample_radius is None:
-        return default_sample_radius(space)
+        return 9 if isinstance(space, BinaryTreeSpace) else 8
     return _check_radius(sample_radius, "sample ball radius")
 
 
@@ -451,7 +446,6 @@ def closeness_bound(
     g: Callable,
     source: Space,
     sample_radius=None,
-    target: Space | None = None,
 ) -> CoarseReport:
     """sup d(f x, g x) over the sample ball, tracked across nested radii.
 
@@ -459,7 +453,6 @@ def closeness_bound(
     sample radii; a growing sup leaves the verdict inconclusive and the
     table records the trend.
     """
-    target = target or source
     sample_radius = _sample_radius(source, sample_radius)
     sub = sorted({math.ceil(sample_radius / 2), math.ceil(3 * sample_radius / 4),
                   math.ceil(sample_radius)})
@@ -468,13 +461,13 @@ def closeness_bound(
     dist_src = distances_from(source, source.basepoint, pts)
     fs = [f(p) for p in pts]
     gs = [g(p) for p in pts]
-    gap = np.asarray(target.paired(fs, gs), dtype=float)
+    gap = np.asarray(source.paired(fs, gs), dtype=float)
 
     rows = []
     for h in sub:
         value, idx = _masked_max(dist_src <= h, gap)  # the basepoint is always in
         rows.append(
-            ScaleRow(float(h), value, target.format_point(fs[idx]), target.format_point(gs[idx]))
+            ScaleRow(float(h), value, source.format_point(fs[idx]), source.format_point(gs[idx]))
         )
     stable = len(rows) < 2 or math.isclose(
         rows[-1].value, rows[-2].value, rel_tol=1e-12, abs_tol=1e-12
@@ -510,10 +503,7 @@ def higson_defect(
     points, base_dist, values = _window(f, space, window_radius)
 
     # enumerate the entourage pairs once; per-ball exclusion is a mask
-    if isinstance(space, LatticeSpace):
-        src, dst = _translated_entourage(space, points, entourage_radius)
-    else:
-        src, dst = _ball_entourage(space, points, entourage_radius)
+    src, dst = space._entourage(points, entourage_radius)
     gaps = np.abs(values[dst] - values[src])
 
     rows = []
@@ -545,69 +535,3 @@ def _window(f: Callable, space: Space, radius):
         values = [float(radial(d)) for d in dist]
     return points, np.array(dist), np.array(values)
 
-
-def _ball_entourage(space: Space, points: list, radius: float):
-    """Index pairs (i, j), i < j, of window points within ``radius``: one
-    ``closed_ball`` per source, sources in window order, partners in ball
-    order."""
-    index = {p: i for i, p in enumerate(points)}
-    src_ids, dst_ids = [], []
-    for i, p in enumerate(points):
-        for q in space.closed_ball(p, radius):
-            j = index.get(q)
-            if j is not None and j > i:  # partner inside the window, unordered
-                src_ids.append(i)
-                dst_ids.append(j)
-    return np.array(src_ids, dtype=np.int64), np.array(dst_ids, dtype=np.int64)
-
-
-def _translated_entourage(space: LatticeSpace, points: list, radius: float):
-    """The pairs of ``_ball_entourage`` on a lattice, whose word metric is
-    translation-invariant: B(p, R) = p + B(0, R).
-
-    The offsets B(0, R) come from the signed ambient lattice, so N^k keeps
-    the negative ones.  Each point gets a mixed-radix key from its offset
-    to the window's corner, exact (int64, or Python integers when the key
-    range passes int64, whatever the coordinates' own size), that is linear
-    in its coordinates, so the key of p + o is key(p) + key(o), and every
-    such key lies in the range of the window's keys widened by the
-    offsets'.  When that range holds at most ``space.cap`` keys, a table
-    of the window index at each key (-1 elsewhere) finds which translates
-    are window points in one gather, in at most 8 B x cap; otherwise one
-    sorted search does.  Offsets stay in ``closed_ball``'s lexicographic
-    order, which translation keeps, so the pairs come in the same order as
-    ball by ball.
-    """
-    ambient = dataclasses.replace(space, signed=True)
-    offsets = ambient.closed_ball(ambient.basepoint, radius)
-    coords, steps = space._coords(points), space._coords(offsets)
-    lo = [int(a) + int(b) for a, b in zip(coords.min(axis=0), steps.min(axis=0))]
-    hi = [int(a) + int(b) for a, b in zip(coords.max(axis=0), steps.max(axis=0))]
-    spans = [h - l + 1 for l, h in zip(lo, hi)]
-    size = math.prod(spans)
-    dtype = np.int64 if size <= np.iinfo(np.int64).max else object
-    radix = np.array([math.prod(spans[d + 1:]) for d in range(len(spans))], dtype=dtype)
-    # coordinates past int64 are Python integers, but their offsets from lo fit
-    keys = ((coords - np.array(lo, dtype=coords.dtype)).astype(dtype) * radix).sum(axis=1)
-    shifts = (steps.astype(dtype) * radix).sum(axis=1)
-    if dtype is np.int64 and size <= space.cap:
-        table = np.full(size, -1)
-        table[keys] = np.arange(len(points))
-        find = table.__getitem__
-    else:
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-
-        def find(cand):
-            pos = np.minimum(np.searchsorted(sorted_keys, cand), len(points) - 1)
-            return np.where(sorted_keys[pos] == cand, order[pos], -1)
-
-    src, dst = [], []
-    # 64k candidates a chunk
-    chunk = max(1, 65_536 // len(shifts))
-    for i0 in range(0, len(points), chunk):
-        j = find(keys[i0:i0 + chunk, None] + shifts)
-        rows, cols = np.nonzero(j > np.arange(i0, i0 + len(j))[:, None])
-        src.append(rows + i0)
-        dst.append(j[rows, cols])
-    return np.concatenate(src), np.concatenate(dst)

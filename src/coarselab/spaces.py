@@ -25,7 +25,7 @@ to it, so that the cone stops its searches there.  The standard lattice,
 free-group and tree kernels read an array form of the points
 (``_packed``, then ``_kernel``): coordinates, or packed codes and
 lengths.  The free group and the tree share one packed prefix-distance
-kernel and one scalar reference for it, ``_PrefixSpace.distance``, which
+kernel and one scalar reference for it, ``_PrefixSpace._distance``, which
 compares two points symbol by symbol.  The standard lattice and free
 group also move an array form by a translation (``_translated``), so a
 certifier can measure a translated ball without mapping its points one
@@ -36,7 +36,9 @@ group and tree, level by level, and about any int64-safe center of the
 standard Z^k and N^k, one coordinate at a time.  The free group and the
 tree also list the pairs of a sorted point list within a radius,
 ``_listed_pairs(ps, r)``, as runs of points sharing a prefix, at a cost
-that grows with the pairs and not with len(ps)^2.
+that grows with the pairs and not with len(ps)^2.  Every model gives
+those pairs i < j as ``_entourage(ps, r)``: from that listing, from one
+translated ball on a lattice, else from one ``closed_ball`` per point.
 
 All lattice / word / tree distances are exact integers; no floating
 point enters these models.  Ball enumeration is capped (default 10^6
@@ -174,7 +176,7 @@ class Space:
     """Common surface of the space handles.
 
     Subclasses provide ``model``, ``integer_metric``, ``basepoint``,
-    ``validate``, ``distance`` and may give a vectorized distance kernel,
+    ``validate``, ``_distance`` and may give a vectorized distance kernel,
     ``_distances_at`` or an array form and its kernel, ``_packed`` and
     ``_kernel``, from which ``pairwise`` and ``paired`` are derived.
     Graph models provide ``neighbors``, from which ``_word_length`` and
@@ -186,7 +188,8 @@ class Space:
     the cap before it lists.  Other models override ``closed_ball``.  A
     model that can list the pairs of points within a radius without a
     distance table (the standard free group and tree, on points sorted
-    as ``closed_ball`` gives them) gives ``_listed_pairs``.
+    as ``closed_ball`` gives them) gives ``_listed_pairs``, from which
+    ``_entourage`` takes the pairs i < j; a lattice overrides it.
     """
 
     model: str = "abstract"
@@ -202,6 +205,11 @@ class Space:
         raise NotImplementedError
 
     def distance(self, p, q):
+        return self._distance(p, q)
+
+    def _distance(self, p, q, limit=math.inf):
+        """The scalar distance, exact up to ``limit``: a custom generating
+        set's word-length search stops there and reads inf."""
         raise NotImplementedError
 
     def neighbors(self, v) -> list:
@@ -243,6 +251,22 @@ class Space:
         the caller to thresholding the distance kernel."""
         return None
 
+    def _entourage(self, points: Sequence, r) -> tuple[np.ndarray, np.ndarray]:
+        """The index pairs (i, j), i < j, of ``points`` within ``r`` as int64
+        arrays ``(src, dst)``, sources in ``points`` order and each one's
+        partners in ``closed_ball`` order: the j > i pairs of
+        ``_listed_pairs`` where the model lists them, else by one
+        ``closed_ball`` per point."""
+        listed = self._listed_pairs(points, r)
+        if listed is not None:
+            i, j = (np.concatenate(a) for a in zip(*listed))
+            return i[j > i], j[j > i]
+        index = {p: i for i, p in enumerate(points)}
+        pairs = [(i, j) for i, p in enumerate(points)
+                 for j in map(index.get, self.closed_ball(p, r))
+                 if j is not None and j > i]  # partners inside the window, unordered
+        return tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+
     def _restrict(self, points):
         """The model's points among those enumerated over ``neighbors``."""
         return points
@@ -268,11 +292,14 @@ class Space:
         # word lengths found so far, and the outermost sphere among them
         return {self.basepoint: 0}, [self.basepoint]
 
-    def _word_length(self, g) -> int:
+    def _word_length(self, g, limit=math.inf):
         """Word length of ``g``: breadth-first from the basepoint, grown on
-        demand and memoized."""
+        demand and memoized; inf once the search has passed ``limit``
+        without finding ``g``."""
         memo, sphere = self._word_length_search
         while g not in memo:
+            if sphere and memo[sphere[0]] >= limit:
+                return math.inf
             sphere[:] = self._next_sphere(sphere, memo, "word-length search")
             if not sphere:
                 raise ModelMismatch(f"{g!r} is not generated by {self.moves!r}")
@@ -316,10 +343,10 @@ class Space:
         """``dist(i, j)``, the distances from ``ps[i]`` to ``ps[j]`` for
         broadcasting index arrays or slices ``i`` and ``j``.  ``ps`` is
         validated here, once.  Distances up to ``limit`` are exact; a
-        float model may read larger ones as inf, integer models ignore
-        it.  This is the one distance kernel a model gives: ``_kernel``
-        over the array form ``_packed`` where the model has one, else
-        this fallback, which asks the scalar ``distance``, in floats."""
+        model may read larger ones as inf.  This is the one distance
+        kernel a model gives: ``_kernel`` over the array form ``_packed``
+        where the model has one, else this fallback, which asks the
+        scalar ``_distance`` with the same ``limit``, in floats."""
         packed = self._packed(ps)
         if packed is not None:
             return self._kernel(packed, packed)
@@ -328,7 +355,7 @@ class Space:
 
         def dist(i, j):
             i, j = np.broadcast_arrays(at[i], at[j])
-            d = [self.distance(ps[a], ps[b]) for a, b in zip(i.flat, j.flat)]
+            d = [self._distance(ps[a], ps[b], limit) for a, b in zip(i.flat, j.flat)]
             return np.array(d, dtype=float).reshape(i.shape)
 
         return dist
@@ -457,13 +484,13 @@ class LatticeSpace(Space):
         flat = _integer_tuples(ps, self.rank)
         return flat is not None and (self.signed or min(flat, default=0) >= 0)
 
-    def distance(self, p, q) -> int:
+    def _distance(self, p, q, limit=math.inf):
         p = self.validate(p)
         q = self.validate(q)
         delta = tuple(b - a for a, b in zip(p, q))
         if self.standard:
             return sum(abs(c) for c in delta)
-        return self._word_length(delta)
+        return self._word_length(delta, limit)
 
     @cached_property
     def _steps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -509,6 +536,48 @@ class LatticeSpace(Space):
             ball = np.column_stack([ball[row], value + c])
             budget = budget[row] - np.abs(value)
         return list(map(tuple, ball.tolist()))
+
+    def _entourage(self, points, r):
+        # B(p, R) = p + B(0, R), the offsets from the signed ambient lattice
+        # (N^k keeps the negative ones), in closed_ball's order, which
+        # translation keeps.  A point's mixed-radix key from the window's
+        # corner is exact (int64, or Python integers past it) and linear:
+        # p + o has key(p) + key(o).  A key range of at most cap keys is a
+        # table of window indices (-1 elsewhere, 8 B a key) read in one
+        # gather; a wider one is a sorted search.
+        ambient = replace(self, signed=True)
+        offsets = ambient.closed_ball(ambient.basepoint, r)
+        coords, steps = self._coords(points), self._coords(offsets)
+        lo = [int(a) + int(b) for a, b in zip(coords.min(axis=0), steps.min(axis=0))]
+        hi = [int(a) + int(b) for a, b in zip(coords.max(axis=0), steps.max(axis=0))]
+        spans = [h - l + 1 for l, h in zip(lo, hi)]
+        size = math.prod(spans)
+        dtype = np.int64 if size <= np.iinfo(np.int64).max else object
+        radix = np.array([math.prod(spans[d + 1:]) for d in range(len(spans))], dtype=dtype)
+        # coordinates past int64 are Python integers, but their offsets from lo fit
+        keys = ((coords - np.array(lo, dtype=coords.dtype)).astype(dtype) * radix).sum(axis=1)
+        shifts = (steps.astype(dtype) * radix).sum(axis=1)
+        if dtype is np.int64 and size <= self.cap:
+            table = np.full(size, -1)
+            table[keys] = np.arange(len(points))
+            find = table.__getitem__
+        else:
+            order = np.argsort(keys, kind="stable")
+            sorted_keys = keys[order]
+
+            def find(cand):
+                pos = np.minimum(np.searchsorted(sorted_keys, cand), len(points) - 1)
+                return np.where(sorted_keys[pos] == cand, order[pos], -1)
+
+        src, dst = [], []
+        # 64k candidates a chunk
+        chunk = max(1, 65_536 // len(shifts))
+        for i0 in range(0, len(points), chunk):
+            j = find(keys[i0:i0 + chunk, None] + shifts)
+            rows, cols = np.nonzero(j > np.arange(i0, i0 + len(j))[:, None])
+            src.append(rows + i0)
+            dst.append(j[rows, cols])
+        return np.concatenate(src), np.concatenate(dst)
 
     def _restrict(self, points):
         # N^k balls are enumerated in the ambient Z^k
@@ -671,7 +740,7 @@ class _PrefixSpace(Space):
     A point of at most ``_PACK_LIMIT`` symbols packs into one int64 code,
     ``_BITS`` bits per symbol, symbol j at bits [bits*j, bits*(j+1)), and
     the distances run on the prefix kernel.  Longer points and custom
-    generating sets take the scalar ``distance``, which is also the
+    generating sets take the scalar ``_distance``, which is also the
     reference the kernel is checked against.
     """
 
@@ -679,7 +748,7 @@ class _PrefixSpace(Space):
     _PACK_LIMIT: int
     standard = True
 
-    def distance(self, p, q) -> int:
+    def _distance(self, p, q, limit=math.inf):
         """|p| + |q| - 2 lcp(p, q), comparing the points symbol by symbol."""
         p, q = self.validate(p), self.validate(q)
         lcp = 0
@@ -808,10 +877,11 @@ class FreeGroupSpace(_PrefixSpace):
             return False
         return _reduced_lines("\n".join(ps), max(len(ps) - 1, 0))
 
-    def distance(self, p, q) -> int:
+    def _distance(self, p, q, limit=math.inf):
         if self.standard:
-            return super().distance(p, q)
-        return self._word_length(word_multiply(word_inverse(self.validate(p)), self.validate(q)))
+            return super()._distance(p, q)
+        delta = word_multiply(word_inverse(self.validate(p)), self.validate(q))
+        return self._word_length(delta, limit)
 
     def neighbors(self, v: str) -> list[str]:
         return [word_multiply(v, m) for m in self.moves]

@@ -769,6 +769,26 @@ def test_main_batch_continues_after_zero_denominator(tmp_path, capsys):
         assert (tmp_path / "out" / stem / "manifest.json").exists()
 
 
+def test_unwritable_outputs_exit_2_and_batch_goes_on(tmp_path, capsys):
+    # an output directory under a regular file: the one failure that can
+    # write no manifest, reported as a resource error, not a refutation
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["run", str(CONFIGS / "orbit_z2.cfg"), "--out", str(blocker / "o")]) == 2
+    assert capsys.readouterr().out.startswith("error: cannot write outputs: ")
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "a.cfg").write_text(_ORBIT_ON.format("Z^1"))
+    (batch / "b.cfg").write_text(_ORBIT_ON.format("Z^1"))
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "a").write_text("")  # a's output directory is a file
+    assert main(["batch", str(batch), "--out", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr().out
+    assert "a.cfg: error: cannot write outputs: " in out
+    assert "b.cfg: exit 0" in out
+    assert (tmp_path / "out" / "b" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("text, verdict, sups", [
     ("space = Z^2\naction = translate\nby = 2, 1\nsample_radius = 40\n",
      "certified-at-scale", [3.0, 3.0, 3.0]),

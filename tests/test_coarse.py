@@ -16,9 +16,7 @@ from coarselab.coarse import (
     INCONCLUSIVE,
     REFUTED,
     ScaleRow,
-    _ball_entourage,
     _masked_max,
-    _translated_entourage,
     bornologous_profile,
     closeness_bound,
     higson_defect,
@@ -214,6 +212,18 @@ def test_profile_measures_the_target_only_on_the_largest_entourage():
     assert all(len(b[0]) >= coarse.BLOCK_PAIRS for b in batches[:-1])
     assert len(batches) == -(-57_591 // coarse.BLOCK_PAIRS)
     assert [row.value for row in rep.rows] == [d_tgt[d_src <= r].max() for r in radii]
+
+
+def test_custom_generator_profile_stays_under_the_cap():
+    # the blocked scan asks the scalar fallback about every pair of the
+    # sample ball; its word-length searches stop at max R, so a cap the
+    # searches to each pair's full distance (13,121 words) would pass gives
+    # the default cap's profile
+    f = left_translation("a")
+    capped = FreeGroupSpace(generators=("ab", "b"), cap=5000)
+    free = FreeGroupSpace(generators=("ab", "b"))
+    assert (bornologous_profile(f, capped, capped, [1, 2], 4)
+            == bornologous_profile(f, free, free, [1, 2], 4))
 
 
 def test_masked_max_passes_over_an_unselected_fill():
@@ -735,15 +745,20 @@ def test_defect_witness_recheck():
 
 
 def _entourage_oracle(space, window, radius):
-    """Window points, and every pair i < j within ``radius`` by brute-force
-    ``pairwise``, each source's partners in closed-ball order."""
-    points = list(word_metric_bfs_oracle(space, window))
+    """Window points (as ``higson_defect`` takes them), and every pair
+    i < j within ``radius`` by brute-force ``pairwise``, each source's
+    partners in closed-ball order: grid order on the cone, else sorted by
+    (length, point)."""
+    points = coarse._window(lambda p: 0.0, space, window)[0]
     near = space.pairwise(points, points) <= radius
+    if isinstance(space, ConeSpace):
+        key = lambda j: space.grid.point_index[points[j]]
+    else:
+        key = lambda j: (len(points[j]), points[j])
     pairs = [
         (i, j)
         for i in range(len(points))
-        for j in sorted(np.nonzero(near[i])[0].tolist(),
-                        key=lambda j: (len(points[j]), points[j]))
+        for j in sorted(np.nonzero(near[i])[0].tolist(), key=key)
         if j > i
     ]
     return points, pairs
@@ -774,13 +789,18 @@ def _defect_oracle(space, points, pairs, f, balls):
         (LatticeSpace(3), 4, 2),
         (LatticeSpace(30), 1, 2),  # a mixed-radix key of 7^30 passes int64
         (F2, 3, 2),
+        (T2, 5, 2),
+        (FreeGroupSpace(generators=("ab", "b")), 3, 2),  # unsorted window: ball by ball
+        (CONE, 4, 1.5),
     ],
-    ids=["Z1", "Z2", "N2", "Z2-custom", "Z3", "Z30", "F2"],
+    ids=["Z1", "Z2", "N2", "Z2-custom", "Z3", "Z30", "F2", "T2", "F2-custom", "cone"],
 )
 def test_entourage_matches_brute_force(space, window, radius):
     points, pairs = _entourage_oracle(space, window, radius)
-    build = _translated_entourage if isinstance(space, LatticeSpace) else _ball_entourage
-    src, dst = build(space, points, radius)
+    # the standard F2 and tree list the pairs by prefix runs
+    assert (space._listed_pairs(points, radius) is not None) == (space in (F2, T2))
+    src, dst = space._entourage(points, radius)
+    assert src.dtype == dst.dtype == np.int64
     assert list(zip(src.tolist(), dst.tolist())) == pairs
     # a radial function ties everywhere, so the witnesses pin the pair order
     f = lambda p: float(space.distance(space.basepoint, p) % 3)
@@ -809,14 +829,14 @@ def _pairs(built):
 def test_direct_address_entourage_matches_the_sorted_search(space, window, radius):
     points = list(word_metric_bfs_oracle(space, window))
     with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
-        direct = _pairs(_translated_entourage(space, points, radius))
+        direct = _pairs(space._entourage(points, radius))
         assert not search.called
         # a cap that holds the offsets ball but not the key range keeps the search
         offsets = len(dataclasses.replace(space, signed=True).closed_ball(space.basepoint, radius))
-        searched = _pairs(_translated_entourage(
-            dataclasses.replace(space, cap=offsets), points, radius))
+        searched = _pairs(dataclasses.replace(space, cap=offsets)._entourage(points, radius))
         assert search.called
-    assert direct == searched == _pairs(_ball_entourage(space, points, radius))
+    # the reference is the per-ball listing of Space._entourage
+    assert direct == searched == _pairs(spaces.Space._entourage(space, points, radius))
 
 
 @pytest.mark.parametrize("far", [False, True], ids=["span-in-int64", "span-past-int64"])
@@ -827,10 +847,11 @@ def test_entourage_past_int64(far):
     points = [(2**70 + x, y) for x, y in cluster] + (cluster if far else [])
     space = LatticeSpace(2)
     with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
-        pairs = _pairs(_translated_entourage(space, points, 2))
+        pairs = _pairs(space._entourage(points, 2))
         assert search.called == far
-    assert pairs == _pairs(_ball_entourage(space, points, 2))
-    assert len(pairs) == (2 if far else 1) * len(_pairs(_ball_entourage(space, cluster, 2)))
+    by_ball = lambda ps: _pairs(spaces.Space._entourage(space, ps, 2))
+    assert pairs == by_ball(points)
+    assert len(pairs) == (2 if far else 1) * len(by_ball(cluster))
 
 
 def test_higson_witnesses_under_ties():

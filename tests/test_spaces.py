@@ -723,6 +723,23 @@ def test_custom_free_group_generators_match_bfs():
     assert sp.distance("", "b") == 2  # b = a^-1 (ab)
 
 
+@pytest.mark.parametrize("space, ps", [
+    (LatticeSpace(2, generators=((2, 1), (1, 1))),
+     [(x, y) for x in range(-2, 3) for y in range(-2, 3)]),
+    (FreeGroupSpace(generators=("ab", "b")), F2.closed_ball("", 2)),
+], ids=["Z2-custom", "F2-custom"])
+def test_custom_generator_kernel_stops_at_its_limit(space, ps):
+    # the word-length search stops at the limit and reads inf past it
+    at = np.arange(len(ps))
+    limited = space._distances_at(ps, limit=2)(at[:, None], at)
+    assert max(space._word_length_search[0].values()) == 2
+    exact = replace(space).pairwise(ps, ps)  # a fresh search
+    assert exact.max() > 2
+    assert np.array_equal(limited, np.where(exact <= 2, exact, np.inf))
+    # distance keeps no limit, and grows the stopped search
+    assert space.distance(ps[0], ps[-1]) == exact[0, -1]
+
+
 @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40),
        st.integers(-40, 40))
 def test_lattice_distance_is_l1(x0, y0, x1, y1):
