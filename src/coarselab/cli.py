@@ -175,13 +175,7 @@ def space_from_config(cfg: ExperimentConfig) -> Space:
     cap = cfg.count("cap", DEFAULT_CAP)
     gens = cfg.get("generators")
     if model == "lattice":
-        if gens is not None:
-            vectors = []
-            for part in gens.split(","):
-                vectors.append(tuple(int(c) for c in part.split()))
-                if len(vectors[-1]) != rank:
-                    raise ValueError(f"generator {part!r} does not have rank {rank}")
-            gens = tuple(vectors)
+        gens = None if gens is None else _lattice_generators(gens, rank)
         return LatticeSpace(rank=rank, signed=low.startswith("z"), generators=gens, cap=cap)
     if model == "free-group":
         gens = ("a", "b") if gens is None else tuple(w.strip() for w in gens.split(","))
@@ -189,6 +183,40 @@ def space_from_config(cfg: ExperimentConfig) -> Space:
     if model == "binary-tree":
         return BinaryTreeSpace(cap=cap)
     return _cone_space(cfg, cap)
+
+
+def _lattice_generators(text: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    """The vectors of a lattice's ``generators`` key, once each entry is
+    an integer, each vector has ``rank`` entries and they generate Z^rank."""
+    vectors = []
+    for part in text.split(","):
+        bad = [c for c in part.split() if not c[c[0] in "+-":].isdecimal()]  # one sign, digits
+        if bad:
+            raise ConfigError(f"invalid integer {bad[0]!r} in 'generators'")
+        vectors.append(tuple(map(int, part.split())))
+        if len(vectors[-1]) != rank:
+            raise ValueError(f"generator {part!r} does not have rank {rank}")
+    if (index := _index(vectors, rank)) != 1:
+        size = f"index {index}" if index else "infinite index"
+        raise ConfigError(f"'generators' generate a subgroup of {size} in Z^{rank}, "
+                          f"not all of it: {text.strip()!r}")
+    return tuple(vectors)
+
+
+def _index(vectors, rank: int) -> int:
+    """The index in Z^rank of the subgroup integer vectors generate (0 if
+    infinite): the gcd of their rank x rank minors, which row operations
+    keep, read off the triangular basis Euclid's algorithm leaves."""
+    rows, index = [list(v) for v in vectors], 1
+    for c in range(rank):
+        while len(live := sorted((row for row in rows if row[c]), key=lambda row: abs(row[c]))) > 1:
+            for row in live[1:]:  # reduced modulo the least entry
+                row[:] = [a - row[c] // live[0][c] * b for a, b in zip(row, live[0])]
+        if not live:
+            return 0
+        index *= abs(live[0][c])
+        rows.remove(live[0])  # the only row nonzero in column c
+    return index
 
 
 _LAMBDAS = {"linear": cone.LambdaFunction.linear, "sqrt": cone.LambdaFunction.sqrt}

@@ -228,34 +228,25 @@ def bornologous_profile(
 
     The verdict is always ``certified-at-scale``: finite data bounds the
     profile on the sampled window and proves nothing beyond it.  The
-    source side is reused for one (source, sample radius, max R) at a
-    time: where the source lists at most ``source.cap`` pairs, their
-    index pairs and source distances are held, and a call computes only
-    the target distances and the per-radius maxima; otherwise the pairs
-    are found afresh, a batch at a time.  A translation of the source
-    into itself is applied to the sample's array form (``_translated``);
-    any other map, point by point.
+    source side is held for one (source, sample radius, max R) at a time
+    (``_profile_sample``).  A translation of the source into itself is
+    applied to the sample's array form (``_translated``); any other map,
+    point by point.
     """
     radii = _radii(DEFAULT_RADII if radii is None else radii)
     # Only pairs in E_R for the largest R can count, so the target
-    # measures only those, a batch at a time.  A metric table is
-    # symmetric, so its first row-major maximum lies on or above the
-    # diagonal.  Float (cone) distances need not be exactly symmetric
-    # and keep full rows.
-    upper = source.integer_metric and target.integer_metric
-    pts, packed, src, listed, batches = _profile_sample(
-        source, _sample_radius(source, sample_radius), radii[-1], upper
-    )
+    # measures only those, a batch at a time.  A symmetric table's first
+    # row-major maximum lies on or above the diagonal, where an exact source
+    # lists its pairs; float (cone) distances need not be symmetric and
+    # keep full rows, which the cone lists and an exact source mirrors.
+    pts, packed, pairs = _profile_sample(source, _sample_radius(source, sample_radius), radii[-1])
     moved = _translated(f, source, target, packed)
-    if moved is None:
-        tgt = target._distances_at([f(p) for p in pts])
-    else:
-        tgt = target._kernel(moved, moved)
+    tgt = target._distances_at([f(p) for p in pts]) if moved is None else target._kernel(moved, moved)
+    if source.integer_metric and not target.integer_metric:
+        pairs = _full_rows(pairs)
 
-    if batches is None:  # none held: listed afresh, or kept from source blocks
-        batches = _entourage_batches(pts, src, radii[-1], upper, listed)
     best = {r: (-math.inf, None, None) for r in radii}
-    for i, j, dsrc in batches:
+    for i, j, dsrc in pairs:
         dtgt = tgt(i, j)
         if dtgt.dtype != np.uint8:
             dtgt = dtgt.astype(float)  # other kernels' distances compare as floats
@@ -264,18 +255,11 @@ def bornologous_profile(
             if hit is not None and hit[0] > best[r][0]:
                 best[r] = (hit[0], pts[i[hit[1]]], pts[j[hit[1]]])
 
-    rows = []
-    for r in radii:
-        val, p, q = best[r]
-        if p is None:
-            rows.append(ScaleRow(float(r), 0.0))
-        else:
-            rows.append(
-                ScaleRow(float(r), val, source.format_point(p), source.format_point(q))
-            )
-    slope, offset = _fit_affine(
-        np.array([row.scale for row in rows]), np.array([row.value for row in rows])
-    )
+    rows = [ScaleRow(float(r), 0.0) if p is None else
+            ScaleRow(float(r), val, source.format_point(p), source.format_point(q))
+            for r, (val, p, q) in best.items()]
+    slope, offset = _fit_affine(np.array([row.scale for row in rows]),
+                                np.array([row.value for row in rows]))
     return CoarseReport(
         prop="bornologous",
         rows=tuple(rows),
@@ -287,28 +271,35 @@ def bornologous_profile(
 
 
 @lru_cache(maxsize=1)
-def _profile_sample(source: Space, sample_radius, r, upper: bool):
-    """The source side of a profile: the sample ball's points, their
-    array form (``Space._packed``, or None), the source kernel limited
-    to ``r``, the source's listing of the pairs within ``r`` (None
-    where it gives none, or unless ``upper``), and the batches
-    ``(i, j, d)`` of ``_entourage_batches``, held read-only when the
-    listing has at most ``source.cap`` pairs, else None.
-
-    The held batches take 17 bytes a pair (two int64 indices and a uint8
-    distance), so at most 17 B x cap; a listing over the cap keeps only
-    its compact runs, and its pairs are expanded afresh on each call."""
+def _profile_sample(source: Space, sample_radius, r):
+    """The sample ball's points, their array form (``Space._packed``, or
+    None) and the listing of the pairs within ``r``, its batches held
+    read-only while they hold at most ``source.cap`` pairs (17 B a pair on
+    F2 and the tree, 24 elsewhere), else expanded afresh on each call."""
     pts = tuple(source.closed_ball(source.basepoint, sample_radius))
-    listed = source._listed_pairs(pts, r) if upper else None
-    packed = source._packed(pts)
-    src = source._distances_at(pts, limit=r) if packed is None else source._kernel(packed, packed)
-    held = None
-    if listed is not None and listed.counts.sum() <= source.cap:
-        held = tuple(_entourage_batches(pts, src, r, upper, listed))
-        for batch in held:
+    listing, held = source._listed_pairs(pts, r), []
+    if (listing.size or 0) <= source.cap:
+        for batch in listing:
+            held.append(batch)
+            if sum(len(b[0]) for b in held) > source.cap:
+                break
             for a in batch:
                 a.flags.writeable = False
-    return pts, packed, src, listed, held
+        else:
+            listing = tuple(held)
+    return pts, source._packed(pts), listing
+
+
+def _full_rows(pairs: Iterable):
+    """Row-major batches of the full rows, in index order, of a symmetric
+    metric's pairs ``(i, j, d)``, j >= i: each pair j > i also as (j, i)."""
+    if batches := list(pairs):
+        i, j, d = (np.concatenate(a) for a in zip(*batches))
+        i, j, d = np.r_[i, j[j > i]], np.r_[j, i[j > i]], np.r_[d, d[j > i]]
+        order = np.lexsort((j, i))
+        i, j, d = i[order], j[order], d[order]
+        for k in range(0, len(i), BLOCK_PAIRS):
+            yield i[k:k + BLOCK_PAIRS], j[k:k + BLOCK_PAIRS], d[k:k + BLOCK_PAIRS]
 
 
 def _translated(f: Callable, source: Space, target: Space, packed):
@@ -327,41 +318,6 @@ def _base_distances(space: Space, packed) -> np.ndarray:
     """Float distances from the basepoint to the points whose array form
     is ``packed``."""
     return space._kernel(space._packed([space.basepoint]), packed)(0, slice(None)).astype(float)
-
-
-def _entourage_batches(pts: Sequence, src: Callable, r, upper: bool, listed):
-    """The index pairs (i, j) of ``pts`` within ``r`` under the source
-    kernel ``src``, with their distances d: row-major batches
-    ``(i, j, d)``, each but the last of at least ``BLOCK_PAIRS`` pairs,
-    j >= i when ``upper``.  They are the source's listing ``listed``
-    (``Space._listed_pairs``) where it gives one; otherwise they are
-    kept from blocks of ``src`` rows, rows i0:i1 reading columns i0:
-    when ``upper``."""
-    if listed is not None:
-        for i, j in listed:
-            yield i, j, src(i, j)
-        return
-    n = len(pts)
-    batch, selected = [], 0
-    i0 = 0
-    while i0 < n:
-        j0 = i0 if upper else 0
-        i1 = min(n, i0 + max(1, BLOCK_PAIRS // (n - j0)))
-        d = src(np.arange(i0, i1)[:, None], np.arange(j0, n))
-        i, j = np.divmod(np.flatnonzero(d <= _bound(r, d)), n - j0)
-        i += i0
-        j += j0
-        if upper:  # the block's rows past i0 reach a little below the diagonal
-            i, j = i[j >= i], j[j >= i]
-        if len(i):
-            batch.append((i, j, d[i - i0, j - j0]))
-            selected += len(i)
-        if selected >= BLOCK_PAIRS:
-            yield tuple(np.concatenate(a) for a in zip(*batch))
-            batch, selected = [], 0
-        i0 = i1
-    if batch:
-        yield tuple(np.concatenate(a) for a in zip(*batch))
 
 
 def properness_table(
@@ -502,19 +458,21 @@ def higson_defect(
 
     points, base_dist, values = _window(f, space, window_radius)
 
-    # enumerate the entourage pairs once; per-ball exclusion is a mask
-    src, dst = space._entourage(points, entourage_radius)
+    # E_R's pairs x before y, each batch dropped once filtered; balls are masks
+    src, dst = [], []
+    for i, j, _ in space._listed_pairs(points, entourage_radius):
+        keep = j > i
+        src.append(i[keep])
+        dst.append(j[keep])
+    src, dst = np.concatenate(src), np.concatenate(dst)
     gaps = np.abs(values[dst] - values[src])
 
     rows = []
     for b in balls:
         hit = _masked_max(~((base_dist[src] <= b) & (base_dist[dst] <= b)), gaps)
-        if hit is None:
-            rows.append(ScaleRow(float(b), 0.0))
-        else:
-            sup, k = hit
-            rows.append(ScaleRow(float(b), sup, space.format_point(points[src[k]]),
-                                 space.format_point(points[dst[k]])))
+        rows.append(ScaleRow(float(b), 0.0) if hit is None else ScaleRow(
+            float(b), hit[0], space.format_point(points[src[hit[1]]]),
+            space.format_point(points[dst[hit[1]]])))
     return HigsonDefectTable(tuple(rows))
 
 

@@ -16,9 +16,9 @@ one length and whose rows' horizontal steps are far enough apart (see
 ``_HeightFold``), some shortest path does all its horizontal travel at
 one height, and the least over heights of each such path's left-to-right
 sum is the distance.  Searches that stop at a threshold (``_near``,
-``closed_ball``, the compactification diagnostic) and full distances on
-every other grid run a bounded or full Dijkstra search,
-``ConeSpace._row_blocks``.
+``closed_ball``, the pairs within a radius, the compactification
+diagnostic) and full distances on every other grid run a bounded or
+full Dijkstra search, ``ConeSpace._row_blocks``.
 
 The grid keys of a config are read in :mod:`coarselab.cli`.
 """
@@ -35,7 +35,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra, shortest_path
 
 from .coarse import rows_to_csv
-from .spaces import BLOCK_PAIRS, DEFAULT_CAP, ModelMismatch, Space, _check_radius, _number
+from .spaces import BLOCK_PAIRS, DEFAULT_CAP, ModelMismatch, Space, _check_radius, _Listing, _number
 
 APEX = "*"
 
@@ -486,6 +486,18 @@ class ConeSpace(Space):
             return out
 
         return dist
+
+    def _listed_pairs(self, ps, r):
+        # full rows of blocks of Dijkstra rows stopped at r: floats need not be symmetric
+        idx = self._indices(ps)
+
+        def expand():
+            for lo, rows in self._row_blocks(idx, limit=r):
+                d = rows[:, idx]
+                i, j = np.nonzero(d <= r)
+                yield i + lo, j, d[i, j]
+
+        return _Listing(expand)
 
     def closed_ball(self, center, r) -> list:
         _check_radius(r)

@@ -33,12 +33,11 @@ by one.  The lattice, free-group and tree models give ``neighbors(v)``,
 which drives their breadth-first word lengths and ball enumeration,
 except where a ball is listed directly: at the root of the standard free
 group and tree, level by level, and about any int64-safe center of the
-standard Z^k and N^k, one coordinate at a time.  The free group and the
-tree also list the pairs of a sorted point list within a radius,
-``_listed_pairs(ps, r)``, as runs of points sharing a prefix, at a cost
-that grows with the pairs and not with len(ps)^2.  Every model gives
-those pairs i < j as ``_entourage(ps, r)``: from that listing, from one
-translated ball on a lattice, else from one ``closed_ball`` per point.
+standard Z^k and N^k, one coordinate at a time.  Every model lists the
+pairs within a radius with their distances (``_listed_pairs``): the
+standard free group and tree by prefix runs, at a cost that grows with
+the pairs and not with len(ps)^2; a lattice by one translated ball; the
+cone by Dijkstra rows stopped at the radius; else a ``closed_ball`` a point.
 
 All lattice / word / tree distances are exact integers; no floating
 point enters these models.  Ball enumeration is capped (default 10^6
@@ -56,7 +55,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -186,10 +185,8 @@ class Space:
     whose ball stays in int64.  Such a model also gives the ball's size
     from a closed form, ``_ball_size``, which the listing checks against
     the cap before it lists.  Other models override ``closed_ball``.  A
-    model that can list the pairs of points within a radius without a
-    distance table (the standard free group and tree, on points sorted
-    as ``closed_ball`` gives them) gives ``_listed_pairs``, from which
-    ``_entourage`` takes the pairs i < j; a lattice overrides it.
+    model that lists the pairs within a radius faster than one
+    ``closed_ball`` a point overrides ``_listed_pairs``.
     """
 
     model: str = "abstract"
@@ -242,30 +239,31 @@ class Space:
         against the cap, where the model has a closed form; else None."""
         return None
 
-    def _listed_pairs(self, ps: Sequence, r) -> Iterable | None:
-        """The index pairs (i, j), i <= j, of ``ps`` with d(ps[i], ps[j])
-        <= r, listed without a distance table: an iterable of batches of
-        index arrays ``(i, j)`` in row-major order, each but the last of
-        at least ``BLOCK_PAIRS`` pairs, expanded afresh on each
-        iteration; or None, where the model cannot list them, to send
-        the caller to thresholding the distance kernel."""
-        return None
+    def _listed_pairs(self, ps: Sequence, r) -> "_Listing":
+        """The pairs within ``r``: row-major batches ``(i, j, d)``, d(ps[i],
+        ps[j]) = d <= r exactly, j >= i (every j where distances need not be
+        symmetric), each row in ``closed_ball`` order, listed afresh on each
+        iteration.  Here one ``closed_ball`` a point while r is below the
+        points' reach from the basepoint (on a group, a ball smaller than
+        theirs), else kernel rows sorted by (length, point), as it sorts."""
+        index = {p: i for i, p in enumerate(ps)}
+        dist = self._distances_at(ps, limit=r)
+        reach = self.pairwise([self.basepoint], ps).max(initial=0)
+        order = sorted(range(len(ps)), key=lambda k: (len(ps[k]), ps[k]))
 
-    def _entourage(self, points: Sequence, r) -> tuple[np.ndarray, np.ndarray]:
-        """The index pairs (i, j), i < j, of ``points`` within ``r`` as int64
-        arrays ``(src, dst)``, sources in ``points`` order and each one's
-        partners in ``closed_ball`` order: the j > i pairs of
-        ``_listed_pairs`` where the model lists them, else by one
-        ``closed_ball`` per point."""
-        listed = self._listed_pairs(points, r)
-        if listed is not None:
-            i, j = (np.concatenate(a) for a in zip(*listed))
-            return i[j > i], j[j > i]
-        index = {p: i for i, p in enumerate(points)}
-        pairs = [(i, j) for i, p in enumerate(points)
-                 for j in map(index.get, self.closed_ball(p, r))
-                 if j is not None and j > i]  # partners inside the window, unordered
-        return tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+        def expand():
+            rows, cols = [], []
+            for i, p in enumerate(ps if r >= 0 else ()):
+                row = map(index.get, self.closed_ball(p, r)) if r < reach else order
+                cols += [j for j in row if j is not None and j >= i]
+                rows += [i] * (len(cols) - len(rows))
+                if len(rows) >= BLOCK_PAIRS or i == len(ps) - 1:
+                    a, b = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+                    d = dist(a, b)
+                    yield a[d <= r], b[d <= r], d[d <= r]
+                    rows, cols = [], []
+
+        return _Listing(expand)
 
     def _restrict(self, points):
         """The model's points among those enumerated over ``neighbors``."""
@@ -426,10 +424,11 @@ def _as_int_radius(r) -> int:
 class LatticeSpace(Space):
     """Z^k (signed) or N^k (unsigned) with a word metric.
 
-    ``generators`` is an optional tuple of integer vectors; its symmetric
-    closure generates Z^k.  ``None`` means the standard basis, for which
-    the word metric is l1.  For N^k the point set is the non-negative
-    orthant while the metric stays the ambient Z^k word metric.
+    ``generators`` is an optional tuple of integer vectors, with their
+    negatives; ``None`` means the standard basis (the l1 metric).  Those of
+    a proper subgroup are accepted: a distance out of it searches to the
+    cap, or reads inf past a ``limit``.  For N^k the point set is the
+    non-negative orthant; the metric stays the ambient Z^k word metric.
     """
 
     rank: int
@@ -537,47 +536,49 @@ class LatticeSpace(Space):
             budget = budget[row] - np.abs(value)
         return list(map(tuple, ball.tolist()))
 
-    def _entourage(self, points, r):
-        # B(p, R) = p + B(0, R), the offsets from the signed ambient lattice
+    def _listed_pairs(self, ps, r):
+        # B(p, r) = p + B(0, r), the offsets from the signed ambient lattice
         # (N^k keeps the negative ones), in closed_ball's order, which
-        # translation keeps.  A point's mixed-radix key from the window's
-        # corner is exact (int64, or Python integers past it) and linear:
-        # p + o has key(p) + key(o).  A key range of at most cap keys is a
-        # table of window indices (-1 elsewhere, 8 B a key) read in one
-        # gather; a wider one is a sorted search.
-        ambient = replace(self, signed=True)
-        offsets = ambient.closed_ball(ambient.basepoint, r)
-        coords, steps = self._coords(points), self._coords(offsets)
-        lo = [int(a) + int(b) for a, b in zip(coords.min(axis=0), steps.min(axis=0))]
-        hi = [int(a) + int(b) for a, b in zip(coords.max(axis=0), steps.max(axis=0))]
-        spans = [h - l + 1 for l, h in zip(lo, hi)]
-        size = math.prod(spans)
-        dtype = np.int64 if size <= np.iinfo(np.int64).max else object
-        radix = np.array([math.prod(spans[d + 1:]) for d in range(len(spans))], dtype=dtype)
-        # coordinates past int64 are Python integers, but their offsets from lo fit
-        keys = ((coords - np.array(lo, dtype=coords.dtype)).astype(dtype) * radix).sum(axis=1)
-        shifts = (steps.astype(dtype) * radix).sum(axis=1)
-        if dtype is np.int64 and size <= self.cap:
-            table = np.full(size, -1)
-            table[keys] = np.arange(len(points))
-            find = table.__getitem__
-        else:
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
+        # translation keeps; d(p, p + o) = |o|.  A point's mixed-radix key
+        # from the window's corner is exact (int64, or Python integers past
+        # it) and linear: p + o has key(p) + key(o).  A key range of at most
+        # cap keys is a table of window indices (-1 elsewhere, 8 B a key)
+        # read in one gather; a wider one is a sorted search.
+        def expand():
+            if r < 0 or not len(ps):
+                return
+            ambient = replace(self, signed=True)
+            offsets = ambient.closed_ball(ambient.basepoint, r)
+            lengths = ambient.pairwise([ambient.basepoint], offsets)[0]
+            coords, steps = self._coords(ps), self._coords(offsets)
+            lo = [int(a) + int(b) for a, b in zip(coords.min(axis=0), steps.min(axis=0))]
+            hi = [int(a) + int(b) for a, b in zip(coords.max(axis=0), steps.max(axis=0))]
+            spans = [h - l + 1 for l, h in zip(lo, hi)]
+            size = math.prod(spans)
+            dtype = np.int64 if size <= np.iinfo(np.int64).max else object
+            radix = np.array([math.prod(spans[d + 1:]) for d in range(len(spans))], dtype=dtype)
+            # coordinates past int64 are Python integers, but their offsets from lo fit
+            keys = ((coords - np.array(lo, dtype=coords.dtype)).astype(dtype) * radix).sum(axis=1)
+            shifts = (steps.astype(dtype) * radix).sum(axis=1)
+            if dtype is np.int64 and size <= self.cap:
+                table = np.full(size, -1)
+                table[keys] = np.arange(len(ps))
+                find = table.__getitem__
+            else:
+                order = np.argsort(keys, kind="stable")
+                sorted_keys = keys[order]
 
-            def find(cand):
-                pos = np.minimum(np.searchsorted(sorted_keys, cand), len(points) - 1)
-                return np.where(sorted_keys[pos] == cand, order[pos], -1)
+                def find(cand):
+                    pos = np.minimum(np.searchsorted(sorted_keys, cand), len(ps) - 1)
+                    return np.where(sorted_keys[pos] == cand, order[pos], -1)
 
-        src, dst = [], []
-        # 64k candidates a chunk
-        chunk = max(1, 65_536 // len(shifts))
-        for i0 in range(0, len(points), chunk):
-            j = find(keys[i0:i0 + chunk, None] + shifts)
-            rows, cols = np.nonzero(j > np.arange(i0, i0 + len(j))[:, None])
-            src.append(rows + i0)
-            dst.append(j[rows, cols])
-        return np.concatenate(src), np.concatenate(dst)
+            chunk = max(1, 65_536 // len(shifts))  # 64k candidates a chunk
+            for i0 in range(0, len(ps), chunk):
+                j = find(keys[i0:i0 + chunk, None] + shifts)
+                rows, cols = np.nonzero(j >= np.arange(i0, i0 + len(j))[:, None])
+                yield rows + i0, j[rows, cols], lengths[cols]
+
+        return _Listing(expand)
 
     def _restrict(self, points):
         # N^k balls are enumerated in the ambient Z^k
@@ -702,36 +703,32 @@ def _prefix_runs(keys, lengths, r, bits: int) -> tuple[np.ndarray, np.ndarray]:
     return first, np.where(present, last - first, 0)
 
 
-@dataclass(frozen=True, eq=False)
-class _RunPairs:
-    """The index pairs (i, j) of the runs ``first[i, t]`` up to
-    ``first[i, t] + counts[i, t]``, row by row.  Each iteration expands
-    them afresh into batches of index arrays, each ending with the run
-    that brings it to at least ``BLOCK_PAIRS`` pairs; only the runs are
-    held, read-only, and ``counts.sum()`` pairs are listed.  A caller
-    that reuses the pairs holds the batches itself, as the profile memo
-    ``coarse._profile_sample`` does up to the source's cap."""
+class _Listing(partial):
+    """The batches ``(i, j, d)`` of ``Space._listed_pairs``: a generator
+    function's call, made afresh on each iteration, so a caller that reuses
+    them holds them.  ``size`` counts the pairs first (prefix runs only)."""
 
-    first: np.ndarray
-    counts: np.ndarray
+    size: int | None = None
+    __iter__ = partial.__call__
 
-    def __post_init__(self):
-        self.first.flags.writeable = self.counts.flags.writeable = False
 
-    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        runs_per_row = self.first.shape[1]
-        first, counts = self.first.ravel(), self.counts.ravel()
-        ends, total = np.cumsum(counts), counts.sum()
-        start, done = 0, 0  # the batch's first run, and the pairs before it
-        while done < total:
-            stop = min(len(ends), int(np.searchsorted(ends, done + BLOCK_PAIRS)) + 1)
-            c = counts[start:stop]
-            # the pair numbered p overall, in run q, has column first[q] + p
-            # less the pairs before run q
-            column = np.repeat(first[start:stop] - (ends[start:stop] - c), c)
-            yield (np.repeat(np.arange(start, stop) // runs_per_row, c),
-                   column + np.arange(done, ends[stop - 1]))
-            start, done = stop, ends[stop - 1]
+def _run_batches(first, counts, dist) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The pairs (i, j) of the runs ``first[i, t]`` up to ``first[i, t] +
+    counts[i, t]``, row by row, with ``dist(i, j)``: batches, each ending
+    with the run that brings it to at least ``BLOCK_PAIRS`` pairs."""
+    runs_per_row = first.shape[1]
+    first, counts = first.ravel(), counts.ravel()
+    ends, total = np.cumsum(counts), counts.sum()
+    start, done = 0, 0  # the batch's first run, and the pairs before it
+    while done < total:
+        stop = min(len(ends), int(np.searchsorted(ends, done + BLOCK_PAIRS)) + 1)
+        c = counts[start:stop]
+        # the pair numbered p overall, in run q, has column first[q] + p
+        # less the pairs before run q
+        j = np.repeat(first[start:stop] - ends[start:stop] + c, c) + np.arange(done, ends[stop - 1])
+        i = np.repeat(np.arange(start, stop) // runs_per_row, c)
+        yield i, j, dist(i, j)
+        start, done = stop, ends[stop - 1]
 
 
 class _PrefixSpace(Space):
@@ -775,21 +772,21 @@ class _PrefixSpace(Space):
         symbols[filled] = self._symbols(ps)
         return symbols, lengths
 
-    def _pack(self, ps) -> tuple[np.ndarray, np.ndarray]:
-        """int64 codes and uint8 lengths of validated, packable points;
-        lengths are at most 62, so every distance (<= 124) fits in uint8.
-        A code is the sum of symbol j << bits*j."""
-        symbols, lengths = self._symbol_matrix(ps)
-        symbols <<= self._BITS * np.arange(symbols.shape[1])
-        return symbols.sum(axis=1), lengths.astype(np.uint8)
+    def _pack(self, ps, matrix=None) -> tuple[np.ndarray, np.ndarray]:
+        """int64 codes and uint8 lengths of validated, packable points (from
+        their ``_symbol_matrix``, if given); lengths are at most 62, so every
+        distance (<= 124) fits in uint8.  A code is the sum of symbol j << bits*j."""
+        symbols, lengths = self._symbol_matrix(ps) if matrix is None else matrix
+        codes = (symbols << self._BITS * np.arange(symbols.shape[1])).sum(axis=1)
+        return codes, lengths.astype(np.uint8)
 
     def _listed_pairs(self, ps, r):
-        # listed by prefix runs for standard, packable points strictly
-        # sorted by (length, natural order), as closed_ball gives them
+        # by prefix runs for standard, packable points strictly sorted by
+        # (length, natural order), as closed_ball gives them; else ball by ball
         if not (self._all_valid(ps) and self._packable(ps)):
-            return None
+            return super()._listed_pairs(ps, r)
         symbols, lengths = self._symbol_matrix(ps)
-        width = symbols.shape[1]
+        width, dist = symbols.shape[1], self._kernel(*[self._pack(ps, (symbols, lengths))] * 2)
         # a point's key is a leading 1 bit, then its symbols, the first
         # most significant (at most bits*62 + 1 <= 63 bits): keys increase
         # with (length, natural order), and key >> bits*(|p| - k) is the
@@ -797,8 +794,11 @@ class _PrefixSpace(Space):
         symbols <<= self._BITS * np.arange(width)[::-1]
         keys = (symbols.sum(axis=1) | 1 << self._BITS * width) >> self._BITS * (width - lengths)
         if np.any(keys[1:] <= keys[:-1]):
-            return None
-        return _RunPairs(*_prefix_runs(keys, lengths, r, self._BITS))
+            return super()._listed_pairs(ps, r)
+        first, counts = _prefix_runs(keys, lengths, r, self._BITS)
+        listing = _Listing(_run_batches, first, counts, dist)
+        listing.size = int(counts.sum())
+        return listing
 
     def _packed(self, ps):
         # codes and lengths of standard, packable points

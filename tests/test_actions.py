@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarselab import coarse
+from coarselab import coarse, spaces
 from coarselab.actions import (
     ActionSpec,
     IsometryViolation,
@@ -149,6 +149,24 @@ def test_verify_coarse_action_enumerates_each_ball_once():
         )
     assert ver.verdict == CERTIFIED and len(ver.per_generator) == 4
     assert radii == {1: 1, 3: 1, 5: 1}  # B(e, 1) is the commutativity sample
+
+
+def test_custom_generator_verification_lists_its_sample_once():
+    # the four generator maps share one listing of the pairs of B(e, 4)
+    # within max R, ball by ball, held in the profile memo
+    coarse._profile_sample.cache_clear()
+    space, calls, expand = FreeGroupSpace(generators=("ab", "b")), [], spaces._Listing.__iter__
+
+    def counted(listing):
+        calls.append(listing)
+        return expand(listing)
+
+    with mock.patch.object(spaces._Listing, "__iter__", counted):
+        ver = verify_coarse_action(
+            free_group_left_translation_action(), space, [1, 2], 4, domain_radius=5
+        )
+    assert ver.verdict == CERTIFIED and len(ver.per_generator) == 4
+    assert len(calls) == 1
 
 
 def test_odometer_action_verification_at_depth_9():

@@ -1,13 +1,18 @@
+import itertools
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coarselab import actions, cone
 from coarselab.cli import (
     _EXPERIMENTS,
     ConfigError,
+    _index,
     ExperimentConfig,
     build_action,
     load_config,
@@ -289,6 +294,24 @@ def test_space_from_config():
         space_from_config(ExperimentConfig({}))
 
 
+def _det(rows) -> int:
+    """Leibniz's sum over permutations, in exact integers."""
+    n = len(rows)
+    return sum(
+        (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        * math.prod(rows[i][perm[i]] for i in range(n))
+        for perm in itertools.permutations(range(n))
+    )
+
+
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+    st.lists(st.integers(-6, 6), min_size=k, max_size=k), max_size=5))))
+def test_lattice_index_is_the_gcd_of_the_minors(case):
+    rank, vectors = case
+    minors = [_det(rows) for rows in itertools.combinations(vectors, rank)]
+    assert _index(vectors, rank) == math.gcd(*minors)
+
+
 def test_edge_list_cone_space():
     text = (CONFIGS / "cycle16.edges").read_text()
     space = space_from_config(ExperimentConfig(
@@ -361,6 +384,11 @@ _NEGATIVE_BALL = (
 _NO_PAIR_ENTOURAGE = (
     "experiment = higson-defect\nspace = Z^1\nfunction = sin-log\n"
     "entourage_radius = 0\nballs = 2\n"
+)
+
+_LATTICE_GENERATORS = (
+    "experiment = orbit\nspace = Z^2\ngenerators = {}\naction = translate\nby = 1, 0\n"
+    "horizon = 3\n"
 )
 
 # case -> (command, config text with {dir} for the test directory, raw
@@ -637,6 +665,25 @@ FAILURE_CONFIGS = {
     "fractional-cap-and-short-generator-validate": (
         "validate", _ORBIT_ON.format("Z^2") + "cap = 1/2\ngenerators = 1\n", 2, False,
         "diagnostic: invalid count for 'cap': 1/2 is not an integer\n",
+    ),
+    # sets that do not generate Z^2 once validated ok, and run searched to
+    # the cap for (1, 0); so did an entry that is not an integer
+    "generators-index-3-validate": (
+        "validate", _LATTICE_GENERATORS.format("1 2, 0 3"), 2, False,
+        "diagnostic: 'generators' generate a subgroup of index 3 in Z^2, not all of it: "
+        "'1 2, 0 3'\n",
+    ),
+    "generators-index-3-run": (
+        "run", _LATTICE_GENERATORS.format("1 2, 0 3"), 2, True,
+        "error: 'generators' generate a subgroup of index 3 in Z^2",
+    ),
+    "generators-one-vector-validate": (
+        "validate", _LATTICE_GENERATORS.format("1 1"), 2, False,
+        "diagnostic: 'generators' generate a subgroup of infinite index in Z^2",
+    ),
+    "generators-fraction-validate": (
+        "validate", _LATTICE_GENERATORS.format("1 0.5, 0 1"), 2, False,
+        "diagnostic: invalid integer '0.5' in 'generators'\n",
     ),
     "fractional-cap-and-no-base-validate": (
         "validate", "experiment = orbit\nspace = cone\ncap = 1/2\naction = rotate\nhorizon = 4\n",

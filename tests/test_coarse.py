@@ -142,7 +142,16 @@ def _profile_oracle(f, source, target, radii, sample_radius):
 F2_CUSTOM = FreeGroupSpace(generators=("ab", "b"))
 CONE = ConeSpace(ConeGrid.build(*cycle_graph(4), (0.0, 1.0, 2.0, 3.0)),
                  LambdaFunction.linear())
+# d(("1", 0.1), ("0", 0.7)) is 0.8 and the reverse 0.7999999999999999
+SKEW = ConeSpace(ConeGrid.build(*cycle_graph(4), (0.0, 0.1, 0.3, 0.7, 1.1)),
+                 LambdaFunction.sqrt())
 LONG = "ab" * 11  # left translates past the 20-letter packing limit
+
+
+def _skew_image(p):
+    return ("0", 0.7) if p[0] < 0 else ("1", 0.1) if p[0] else ("*", 0.0)
+
+
 # source, target, sample radius, translations of the source into the target
 _PROFILE_CASES = {
     "F2": (F2, F2, 3, st.text("aAbB", max_size=3).map(reduce_word).map(right_translation)),
@@ -153,6 +162,9 @@ _PROFILE_CASES = {
     "F2-long": (F2, F2, 2, st.sampled_from([LONG, LONG + "A"]).map(left_translation)),
     "T2-Z1": (T2, Z1, 3, st.just(lambda v: (len(v) - sum(v),))),
     "cone": (CONE, CONE, 2, st.just(lambda p: p)),
+    # an exact source into float distances: the first maximum of the full
+    # rows, 0.8 from (1) to (-1), lies below the diagonal
+    "Z1-cone": (Z1, SKEW, 3, st.just(_skew_image)),
 }
 
 
@@ -174,10 +186,20 @@ def test_profile_matches_brute_force_oracle(case, data):
     radii = data.draw(st.lists(
         st.sampled_from([-1, -0.5, 0, 0.5, 1, 1.5, 2, 3.25, 4, 6, 7.5, 12]),
         min_size=1, max_size=4, unique=True))
-    # small blocks and batches: many per sample, some of one row, some of many
-    with mock.patch.object(coarse, "BLOCK_PAIRS", data.draw(st.integers(1, 120))):
+    # small batches: many per sample, some of one row, some of many
+    block = data.draw(st.integers(1, 120))
+    coarse._profile_sample.cache_clear()
+    with mock.patch.object(spaces, "BLOCK_PAIRS", block), \
+            mock.patch.object(coarse, "BLOCK_PAIRS", block):
         rep = bornologous_profile(f, source, target, radii, sample_radius)
     assert rep.rows == _profile_oracle(f, source, target, radii, sample_radius)
+
+
+def test_exact_source_profile_reads_full_rows_of_a_float_target():
+    # the witness (1), (-1) sits below the diagonal; its mirror reads less
+    rep = bornologous_profile(_skew_image, Z1, SKEW, [1, 2], 3)
+    assert rep.rows[1] == ScaleRow(2.0, 0.8, "(1)", "(-1)")
+    assert SKEW.distance(_skew_image((-1,)), _skew_image((1,))) < 0.8
 
 
 def test_profile_measures_the_target_only_on_the_largest_entourage():
@@ -215,10 +237,10 @@ def test_profile_measures_the_target_only_on_the_largest_entourage():
 
 
 def test_custom_generator_profile_stays_under_the_cap():
-    # the blocked scan asks the scalar fallback about every pair of the
-    # sample ball; its word-length searches stop at max R, so a cap the
-    # searches to each pair's full distance (13,121 words) would pass gives
-    # the default cap's profile
+    # the pairs within max R are listed one closed ball of radius 2 per
+    # point, and their word-length searches stop at max R; a cap below the
+    # 13,121 words that searches to each pair's full distance would reach
+    # gives the default cap's profile
     f = left_translation("a")
     capped = FreeGroupSpace(generators=("ab", "b"), cap=5000)
     free = FreeGroupSpace(generators=("ab", "b"))
@@ -257,37 +279,50 @@ def test_profile_rejects_bad_input():
             properness_table(lambda p: p, Z1, Z1, [1], radius)
 
 
-def _entourage_pairs(space, ps, r, listed=True, block=coarse.BLOCK_PAIRS):
-    """The pairs (i, j) and distances of ``coarse._entourage_batches`` on
-    ``ps``, j >= i, and the sizes of its batches: listed by the space,
-    or kept from blocks of the source kernel with the listing hook
-    patched to return None."""
-    src = space._distances_at(ps, limit=r)
-    with mock.patch.object(spaces, "BLOCK_PAIRS", block), \
-            mock.patch.object(coarse, "BLOCK_PAIRS", block):
-        runs = space._listed_pairs(ps, r) if listed else None
-        batches = list(coarse._entourage_batches(ps, src, r, True, runs))
-    pairs = tuple(np.concatenate([b[k] for b in batches] or [[]]).tolist() for k in range(3))
+def _listed(space, ps, r, block=spaces.BLOCK_PAIRS):
+    """The pairs (i, j) and distances d of ``space._listed_pairs`` on
+    ``ps``, as three lists, and the sizes of its batches."""
+    with mock.patch.object(spaces, "BLOCK_PAIRS", block):
+        batches = list(space._listed_pairs(ps, r))
+    pairs = [np.concatenate([b[k] for b in batches] or [[]]).tolist() for k in range(3)]
     return pairs, [len(b[0]) for b in batches]
 
 
-# space, centres, ball radius: the listing's balls about the root and elsewhere
+def _brute_pairs(space, ps, r, key=None):
+    """The pairs of ``ps`` within ``r`` from the full ``pairwise`` table,
+    row-major, j >= i except on the cone, each row in index order or
+    sorted by ``key`` of the points; and their distances."""
+    table = space.pairwise(ps, ps)
+    pairs = [(i, j) for i in range(len(ps))
+             for j in sorted(np.nonzero(table[i] <= r)[0].tolist(),
+                             key=None if key is None else lambda j: key(ps[j]))
+             if j >= i or isinstance(space, ConeSpace)]
+    return [[i for i, _ in pairs], [j for _, j in pairs], [table[i, j].item() for i, j in pairs]]
+
+
+# space, centres, ball radius: each lister on balls about the root and
+# elsewhere: prefix runs (F2, T2), one translated ball (the lattices),
+# Dijkstra rows (the cone), and the fallback's balls and rows (F2-custom)
 _LISTED = {
     "F2": (F2, ["", "a", "Ab", "bab"], 4),
     "T2": (T2, [(), (1,), (0, 1), (1, 1, 0)], 5),
+    "Z2": (Z2, [(0, 0), (3, -1)], 3),
+    "N2": (N2, [(0, 0), (2, 1)], 3),
+    "Z2-custom": (LatticeSpace(2, generators=((1, 2), (0, 3))), [(0, 0), (1, 2)], 3),
+    "cone": (CONE, [CONE.basepoint, ("1", 2.0)], 2),
+    "F2-custom": (F2_CUSTOM, ["", "ab"], 2),
 }
 
 
 @pytest.mark.parametrize("case", list(_LISTED))
-def test_listed_pairs_match_the_blocked_loop(case):
+def test_listers_match_brute_force(case):
     space, centres, radius = _LISTED[case]
     for centre in centres:
         ps = space.closed_ball(centre, radius)
-        for r in (-1, 0, 0.5, 1, 3.5, 6, 2 * radius + 1):
-            assert space._listed_pairs(ps, r) is not None
-            listed, _ = _entourage_pairs(space, ps, r)
-            assert listed == _entourage_pairs(space, ps, r, listed=False)[0]
-            assert len(listed[0]) == np.triu(space.pairwise(ps, ps) <= r).sum()
+        for r in (-1, 0, 0.5, 1, 1.5, 3.5, 6, 2 * radius + 1):
+            # only the prefix runs count their pairs before listing them
+            assert (space._listed_pairs(ps, r).size is not None) == (case in ("F2", "T2"))
+            assert _listed(space, ps, r)[0] == _brute_pairs(space, ps, r)
 
 
 @pytest.mark.parametrize("case", list(_LISTED))
@@ -299,19 +334,24 @@ def test_listed_pairs_of_sorted_subsets(case, data):
     ps = [ball[k] for k in sorted(data.draw(st.sets(st.integers(0, len(ball) - 1))))]
     r = data.draw(st.sampled_from([-1, 0, 0.5, 1, 2, 3.5, 5, 6, 2 * radius + 1]))
     block = data.draw(st.integers(1, 200))
-    listed, sizes = _entourage_pairs(space, ps, r, block=block)
-    assert listed == _entourage_pairs(space, ps, r, listed=False, block=block)[0]
-    assert all(size >= block for size in sizes[:-1])
+    listed, sizes = _listed(space, ps, r, block=block)
+    assert listed == _brute_pairs(space, ps, r)
+    if case in ("F2", "T2"):
+        assert all(size >= block for size in sizes[:-1])
 
 
 def test_listed_pairs_decline_what_they_cannot_list():
+    # the prefix runs decline these, and the fallback lists them
     ball = F2.closed_ball("", 2)
-    assert F2._listed_pairs(ball, 2) is not None
-    for ps in (ball[::-1], ["", "a", "A"], ball + ball[-1:], ball + ["aA"], ["", LONG]):
-        assert F2._listed_pairs(ps, 2) is None  # unsorted, repeated, unreduced, unpacked
-    assert F2_CUSTOM._listed_pairs(F2_CUSTOM.closed_ball("", 2), 2) is None
-    assert T2._listed_pairs([(), (1,), (0,)], 2) is None
-    assert T2._listed_pairs([(), (0,) * 63], 2) is None
+    assert F2._listed_pairs(ball, 2).size is not None
+    by_ball = lambda p: (len(p), p)
+    assert F2._listed_pairs(ball + ball[-1:], 2).size is None  # repeated
+    for space, ps in [(F2, ball[::-1]), (F2, ["", "a", "A"]), (F2, ["", LONG]),
+                      (T2, [(), (1,), (0,)]), (T2, [(), (0,) * 63])]:
+        assert space._listed_pairs(ps, 2).size is None  # unsorted, unpacked
+        assert _listed(space, ps, 2)[0] == _brute_pairs(space, ps, 2, key=by_ball)
+    with pytest.raises(ModelMismatch):
+        F2._listed_pairs(ball + ["aA"], 2)  # unreduced
 
 
 def test_listed_profile_memory_grows_with_the_block_not_the_pairs():
@@ -342,7 +382,7 @@ def test_listed_pairs_expand_afresh_on_each_iteration(case):
         return [np.concatenate(a).tolist() for a in zip(*listed)]
 
     once = pairs()
-    assert len(once[0]) == np.triu(space.pairwise(ps, ps) <= 3).sum()
+    assert once == _brute_pairs(space, ps, 3)
     assert pairs() == once
 
 
@@ -414,9 +454,9 @@ def test_held_batches_equal_streamed_batches(case):
     space, f, radius, radii = _HELD_CASES[case]
     coarse._profile_sample.cache_clear()
     held_report = bornologous_profile(f, space, space, radii, radius)
-    pts, _, src, listed, held = coarse._profile_sample(space, radius, radii[-1], True)
-    assert held is not None and coarse._profile_sample.cache_info().hits == 1
-    streamed = coarse._entourage_batches(pts, src, radii[-1], True, listed)
+    pts, _, held = coarse._profile_sample(space, radius, radii[-1])
+    assert isinstance(held, tuple) and coarse._profile_sample.cache_info().hits == 1
+    streamed = space._listed_pairs(pts, radii[-1])
     assert _batch_lists(held) == _batch_lists(streamed)
     for batch in held:
         for a in batch:
@@ -424,11 +464,11 @@ def test_held_batches_equal_streamed_batches(case):
                 a[0] = 0
 
     # a cap between the ball size and the pair count: the profile streams
-    pairs = int(listed.counts.sum())
+    pairs = streamed.size
     capped = type(space)(cap=pairs - 1)
     assert len(pts) <= capped.cap
     assert bornologous_profile(f, capped, capped, radii, radius) == held_report
-    assert coarse._profile_sample(capped, radius, radii[-1], True)[4] is None
+    assert isinstance(coarse._profile_sample(capped, radius, radii[-1])[2], spaces._Listing)
 
 
 @pytest.mark.parametrize("cap, expansions", [(spaces.DEFAULT_CAP, 1), (10_000, 53)])
@@ -438,13 +478,13 @@ def test_translation_profiles_expand_the_listed_pairs_once(cap, expansions):
     # default cap; under a smaller cap every profile expands them afresh
     coarse._profile_sample.cache_clear()
     source, words = FreeGroupSpace(cap=cap), F2.closed_ball("", 3)
-    radii, calls, expand = [1, 2, 3, 4, 5, 6], [], spaces._RunPairs.__iter__
+    radii, calls, expand = [1, 2, 3, 4, 5, 6], [], spaces._Listing.__iter__
 
-    def counted(runs):
-        calls.append(runs)
-        return expand(runs)
+    def counted(listing):
+        calls.append(listing)
+        return expand(listing)
 
-    with mock.patch.object(spaces._RunPairs, "__iter__", counted):
+    with mock.patch.object(spaces._Listing, "__iter__", counted):
         reports = [bornologous_profile(right_translation(h), source, source, radii, 6)
                    for h in words]
     assert len(words) == 53 and len(calls) == expansions
@@ -798,10 +838,9 @@ def _defect_oracle(space, points, pairs, f, balls):
 def test_entourage_matches_brute_force(space, window, radius):
     points, pairs = _entourage_oracle(space, window, radius)
     # the standard F2 and tree list the pairs by prefix runs
-    assert (space._listed_pairs(points, radius) is not None) == (space in (F2, T2))
-    src, dst = space._entourage(points, radius)
-    assert src.dtype == dst.dtype == np.int64
-    assert list(zip(src.tolist(), dst.tolist())) == pairs
+    assert (space._listed_pairs(points, radius).size is not None) == (space in (F2, T2))
+    assert _entourage(space, points, radius) == pairs
+    assert all(a.dtype == np.int64 for b in space._listed_pairs(points, radius) for a in b[:2])
     # a radial function ties everywhere, so the witnesses pin the pair order
     f = lambda p: float(space.distance(space.basepoint, p) % 3)
     balls = [window / 2, window]
@@ -810,9 +849,11 @@ def test_entourage_matches_brute_force(space, window, radius):
     assert rows == _defect_oracle(space, points, pairs, f, balls)
 
 
-def _pairs(built):
-    src, dst = built
-    return list(zip(src.tolist(), dst.tolist()))
+def _entourage(space, points, radius, lister=None):
+    """The pairs i < j of ``points`` within ``radius`` that ``higson_defect``
+    reads: those of the space's listing, or of ``lister``'s."""
+    batches = (lister or type(space)._listed_pairs)(space, points, radius)
+    return [(i, j) for a, b, _ in batches for i, j in zip(a.tolist(), b.tolist()) if j > i]
 
 
 @pytest.mark.parametrize(
@@ -829,14 +870,14 @@ def _pairs(built):
 def test_direct_address_entourage_matches_the_sorted_search(space, window, radius):
     points = list(word_metric_bfs_oracle(space, window))
     with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
-        direct = _pairs(space._entourage(points, radius))
+        direct = _entourage(space, points, radius)
         assert not search.called
         # a cap that holds the offsets ball but not the key range keeps the search
         offsets = len(dataclasses.replace(space, signed=True).closed_ball(space.basepoint, radius))
-        searched = _pairs(dataclasses.replace(space, cap=offsets)._entourage(points, radius))
+        searched = _entourage(dataclasses.replace(space, cap=offsets), points, radius)
         assert search.called
-    # the reference is the per-ball listing of Space._entourage
-    assert direct == searched == _pairs(spaces.Space._entourage(space, points, radius))
+    # the reference is the fallback's one closed_ball per point
+    assert direct == searched == _entourage(space, points, radius, spaces.Space._listed_pairs)
 
 
 @pytest.mark.parametrize("far", [False, True], ids=["span-in-int64", "span-past-int64"])
@@ -847,9 +888,9 @@ def test_entourage_past_int64(far):
     points = [(2**70 + x, y) for x, y in cluster] + (cluster if far else [])
     space = LatticeSpace(2)
     with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
-        pairs = _pairs(space._entourage(points, 2))
+        pairs = _entourage(space, points, 2)
         assert search.called == far
-    by_ball = lambda ps: _pairs(spaces.Space._entourage(space, ps, 2))
+    by_ball = lambda ps: _entourage(space, ps, 2, spaces.Space._listed_pairs)
     assert pairs == by_ball(points)
     assert len(pairs) == (2 if far else 1) * len(by_ball(cluster))
 
